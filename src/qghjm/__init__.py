@@ -12,15 +12,17 @@ from .explosion_criteria import (A5Report, ConditionReport, DeltaPair,
                                  WedgeSlopes, as_explosion_r0_threshold,
                                  beta_max, build_lyapunov, check_condition,
                                  condition_F, condition_G, delta2_star, k0,
-                                 kappa_delta, kappas, min_F_hat, region_curve,
-                                 scale_c3, verify_a5_function,
+                                 kappa_delta, kappas, level_constants,
+                                 min_F_hat, region_curve, scale_c3,
+                                 verify_a5_function,
                                  verify_generator_inequality,
                                  wedge_feasible_slopes)
 from .model_core import (ForwardCurve, ModelParams, SmoothField, State,
                          diffusion, drift, generator_apply, sigma_r)
 from .ode_limit import OdeResult, beta_critical, fixed_point_r, ode_integrate
-from .pricing import (DiscountCurve, discount_consistency_check,
-                      eurodollar_futures, g_factor, libor, zcb_price)
+from .pricing import (discount_consistency_check, discount_estimate,
+                      eurodollar_futures, futures_config, futures_estimate,
+                      g_factor, libor, zcb_price)
 from .sde_engine import (BatchPaths, McEstimate, OnExplosion, PathResult,
                          SimConfig, expectation_functional,
                          explosion_probability, pathwise_discount_factors,

@@ -34,10 +34,3 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
         it += 1
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def golden_min(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section minimization; see golden_max."""
-    x, v = golden_max(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
-    return x, -v

@@ -17,13 +17,13 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
 from . import explosion_criteria as xc
 from . import ode_limit, pricing
 from . import sde_engine as eng
+from ._csv import write_rows
 from .errors import ConfigError, GammaOutOfRange, QGHJMError
 from .model_core import ForwardCurve, ModelParams
 
@@ -68,28 +68,30 @@ def _load_config(path: str, command: str, needs: set[str]) -> dict:
     return raw
 
 
-def _parse_model(raw: dict) -> ModelParams:
-    try:
-        return ModelParams.from_json(raw["model"])
-    except ConfigError as e:
-        raise _fail_config(f"model: {e}")
+_PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
 
 
-def _parse_curve(raw: dict) -> ForwardCurve:
-    try:
-        return ForwardCurve.from_json(raw["curve"])
-    except ConfigError as e:
-        raise _fail_config(f"curve: {e}")
+def _setup(args, *needs: str) -> list:
+    """Load the config of args.command, which needs the given sections.
 
-
-def _parse_sim(raw: dict, seed_override: Optional[int]) -> eng.SimConfig:
-    try:
-        cfg = eng.SimConfig.from_json(raw["sim"])
-    except ConfigError as e:
-        raise _fail_config(f"sim: {e}")
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    return cfg
+    Returns [raw config, then the parsed model, curve and sim among needs,
+    in the order given], applies --seed to the sim settings and creates the
+    output directory.
+    """
+    raw = _load_config(args.config, args.command, set(needs))
+    out: list = [raw]
+    for key in needs:
+        if key not in _PARSERS:
+            continue
+        try:
+            obj = _PARSERS[key].from_json(raw[key])
+        except ConfigError as e:
+            raise _fail_config(f"{key}: {e}")
+        if key == "sim" and args.seed is not None:
+            obj = replace(obj, seed=args.seed)
+        out.append(obj)
+    os.makedirs(args.out, exist_ok=True)
+    return out
 
 
 def _json_safe(x):
@@ -109,15 +111,11 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_config(args.config, "simulate", {"model", "curve", "sim"})
-    p = _parse_model(raw)
-    curve = _parse_curve(raw)
-    cfg = _parse_sim(raw, args.seed)
+    raw, p, curve, cfg = _setup(args, "model", "curve", "sim")
     opts = raw.get("simulate") or {}
     checkpoints = opts.get("checkpoints")
     if checkpoints is None:
         checkpoints = list(np.linspace(cfg.horizon / 10.0, cfg.horizon, 10))
-    os.makedirs(args.out, exist_ok=True)
 
     batch = eng.simulate_batch(p, curve, cfg, record=True, threads=args.threads)
     with open(os.path.join(args.out, "paths.csv"), "w") as fh:
@@ -142,7 +140,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_region(args) -> int:
-    raw = _load_config(args.config, "region", {"region"})
+    raw, = _setup(args, "region")
     opts = raw["region"]
     gammas = opts.get("gammas")
     sig = opts.get("sigma")
@@ -161,7 +159,6 @@ def cmd_region(args) -> int:
     for g in gammas:
         if not 0.5 < float(g) <= 1.0:
             raise _fail_config(f"gamma must be in (1/2, 1], got {g}")
-    os.makedirs(args.out, exist_ok=True)
     for g in gammas:
         curve = xc.region_curve(float(g), sigma_grid)
         name = f"region_gamma_{float(g):g}.csv"
@@ -171,14 +168,12 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = _load_config(args.config, "verify", {"model"})
-    p = _parse_model(raw)
+    raw, p = _setup(args, "model")
     opts = raw.get("verify") or {}
     which = opts.get("condition", "II")
     c3_scale = float(args.c3_scale if args.c3_scale is not None
                      else opts.get("c3_scale", 1.0))
     grid = xc.VerifyGrid(n=int(opts.get("grid_n", 200)))
-    os.makedirs(args.out, exist_ok=True)
     out: dict = {"model": p.to_json(), "condition_requested": which,
                  "c3_scale": c3_scale}
 
@@ -200,21 +195,15 @@ def cmd_verify(args) -> int:
     spec = xc.build_lyapunov(p, report)
     if c3_scale != 1.0:
         spec = xc.scale_c3(spec, c3_scale)
-    d = spec.deltas
     R = spec.R
-    k1, k2 = xc.kappas(R, p, d)
-    wedge = xc.wedge_feasible_slopes(R, p, d)
-    K2 = spec.c1 - spec.c2 * (1 + R) ** (-d.delta1) \
-        - spec.c3 * (1 + R) ** (-d.delta2)
-    K3 = spec.c1 - spec.c2 * (1 + 2 * R) ** (-d.delta1) \
-        - spec.c3 * (1 + 2 * R) ** (-d.delta2)
+    k1, k2 = xc.kappas(R, p, spec.deltas)
+    wedge = xc.wedge_feasible_slopes(R, p, spec.deltas)
     rep = xc.verify_generator_inequality(spec, p, grid)
     thr = xc.as_explosion_r0_threshold(R, p) if p.beta > 0 else None
 
     out["spec"] = spec.to_json()
     out["constants"] = {
-        "K0": xc.k0(spec), "K1": spec.c1, "K2": K2, "K3": K3, "C": spec.C,
-        "kappa1": k1, "kappa2": k2,
+        **xc.level_constants(spec), "C": spec.C, "kappa1": k1, "kappa2": k2,
         "wedge": {"kind": wedge.kind, "slope_lo": wedge.slope_lo,
                   "slope_hi": wedge.slope_hi, "divider": wedge.divider,
                   "ineq1": wedge.ineq1_holds, "ineq2": wedge.ineq2_holds},
@@ -237,25 +226,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    raw = _load_config(args.config, "ode", {"model", "curve", "ode"})
-    p = _parse_model(raw)
-    curve = _parse_curve(raw)
+    raw, p, curve = _setup(args, "model", "curve", "ode")
     opts = raw["ode"]
     if "horizon" not in opts:
         raise _fail_config("ode requires 'horizon'")
     horizon = float(opts["horizon"])
     tol = float(opts.get("tol", 1e-10))
     blowup = float(opts.get("blowup_threshold", 1e10))
-    os.makedirs(args.out, exist_ok=True)
     try:
         res = ode_limit.ode_integrate(p, curve, horizon, tol,
                                       blowup_threshold=blowup)
     except QGHJMError as e:
         raise _fail_config(str(e))
     with open(os.path.join(args.out, "ode_trace.csv"), "w") as fh:
-        fh.write("t,r,y\n")
-        for t, r, y in res.trace:
-            fh.write(f"{t:.17g},{r:.17g},{y:.17g}\n")
+        write_rows(fh, "t,r,y", res.trace)
     bc = ode_limit.beta_critical(p)
     out = {
         "config": {"model": p.to_json(), "curve": curve.to_json(),
@@ -272,34 +256,31 @@ def cmd_ode(args) -> int:
     return 0
 
 
+def _write_estimate(path: str, T: float, delta: float,
+                    est: eng.McEstimate) -> None:
+    with open(path, "w") as fh:
+        write_rows(fh, "T,delta,estimate,std_error,n_exploded,diverged",
+                   [(T, delta, est.mean, est.std_error, est.n_exploded,
+                     int(est.diverged))])
+
+
 def cmd_price(args) -> int:
-    raw = _load_config(args.config, "price", {"model", "curve", "sim", "price"})
-    p = _parse_model(raw)
-    curve = _parse_curve(raw)
-    cfg = _parse_sim(raw, args.seed)
+    raw, p, curve, cfg = _setup(args, "model", "curve", "sim", "price")
     opts = raw["price"]
     if "T" not in opts or "delta" not in opts:
         raise _fail_config("price requires 'T' and 'delta'")
     T = float(opts["T"])
     delta = float(opts["delta"])
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        est = pricing.eurodollar_futures(p, curve, cfg, T, delta,
-                                         threads=args.threads)
-    except ConfigError as e:
-        raise _fail_config(str(e))
-    with open(os.path.join(args.out, "futures.csv"), "w") as fh:
-        fh.write("T,delta,estimate,std_error,n_exploded,diverged\n")
-        fh.write(f"{T:.17g},{delta:.17g},{est.mean:.17g},{est.std_error:.17g},"
-                 f"{est.n_exploded},{int(est.diverged)}\n")
-    if opts.get("discount_check"):
-        chk = pricing.discount_consistency_check(p, curve, cfg, T,
-                                                 threads=args.threads)
-        target = pricing.DiscountCurve(curve).price(T)
-        with open(os.path.join(args.out, "discount.csv"), "w") as fh:
-            fh.write("T,delta,estimate,std_error,n_exploded,diverged\n")
-            fh.write(f"{T:.17g},0,{chk.mean:.17g},{chk.std_error:.17g},"
-                     f"{chk.n_exploded},{int(chk.diverged)}\n")
+    check = bool(opts.get("discount_check"))
+    # one simulation up to T serves the futures and the discount check
+    batch = eng.simulate_batch(p, curve, pricing.futures_config(cfg, T, delta),
+                               want_discount=check, threads=args.threads)
+    est = pricing.futures_estimate(batch, p, curve, T, delta)
+    _write_estimate(os.path.join(args.out, "futures.csv"), T, delta, est)
+    if check:
+        chk = pricing.discount_estimate(batch)
+        target = curve.discount(T)
+        _write_estimate(os.path.join(args.out, "discount.csv"), T, 0, chk)
         _write_json(os.path.join(args.out, "discount.json"),
                     {"T": T, "mc_mean": chk.mean, "curve_price": target,
                      "rel_error": abs(chk.mean / target - 1.0)})

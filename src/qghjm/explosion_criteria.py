@@ -53,6 +53,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import write_rows
 from ._search import golden_max
 from .errors import ConfigError, DomainError, GammaOutOfRange, InfeasibleWedge
 from .model_core import ModelParams, SmoothField, State, generator_apply
@@ -85,6 +86,7 @@ __all__ = [
     "verify_generator_inequality",
     "as_explosion_r0_threshold",
     "k0",
+    "level_constants",
     "verify_a5_function",
 ]
 
@@ -179,9 +181,7 @@ class RegionCurve:
     points: np.ndarray  # rows (sigma, beta_max, delta2_star)
 
     def write_csv(self, fh) -> None:
-        fh.write("sigma,beta_max,delta2_star\n")
-        for s, b, d in self.points:
-            fh.write(f"{s:.17g},{b:.17g},{d:.17g}\n")
+        write_rows(fh, "sigma,beta_max,delta2_star", self.points)
 
 
 @dataclass(frozen=True)
@@ -437,21 +437,25 @@ def delta2_star(sigma: float, gamma: float) -> tuple[float, float]:
     return best[1], best[0]
 
 
+def _beta_from_objective(v: float) -> float:
+    return max(0.0, 0.5 * v)
+
+
 def beta_max(sigma: float, gamma: float) -> float:
     """Largest mean reversion admitted by condition II:
-    max{0, (1/2) G(R0(d2*)) - (1/4) sigma^2 d2* (d2*+1)}."""
-    d2s, _ = delta2_star(sigma, gamma)
-    val = 0.5 * float(_g_peak(d2s)) - 0.25 * sigma * sigma * d2s * (d2s + 1.0)
-    return max(0.0, val)
+    max{0, (1/2) G(R0(d2*)) - (1/4) sigma^2 d2* (d2*+1)}, that is half the
+    optimal objective of delta2_star, floored at 0."""
+    return _beta_from_objective(delta2_star(sigma, gamma)[1])
 
 
 def region_curve(gamma: float, sigma_grid) -> RegionCurve:
-    """Map beta_max over a sigma grid, recording delta2* per point."""
+    """Map beta_max over a sigma grid, recording delta2* per point (one
+    delta2_star call per point gives both)."""
     _require_gamma(gamma)
     rows = []
     for s in np.asarray(sigma_grid, dtype=float):
-        d2s, _ = delta2_star(float(s), gamma)
-        rows.append((float(s), beta_max(float(s), gamma), d2s))
+        d2s, v = delta2_star(float(s), gamma)
+        rows.append((float(s), _beta_from_objective(v), d2s))
     return RegionCurve(gamma=gamma, points=np.array(rows))
 
 
@@ -691,6 +695,13 @@ def k0(spec: LyapunovSpec) -> float:
     R = spec.R
     return min(spec.c1 - spec.c2 * (1.0 + R) ** (-d1) - spec.c3,
                spec.c1 - spec.c2 - spec.c3 * (1.0 + R) ** (-d2))
+
+
+def level_constants(spec: LyapunovSpec) -> dict:
+    """The certificate levels: K0 = k0(spec), K1 = C1, K2 = V(R, R) and
+    K3 = V(2R, 2R)."""
+    v, R = lyapunov_field(spec).value, spec.R
+    return {"K0": k0(spec), "K1": spec.c1, "K2": v(R, R), "K3": v(2 * R, 2 * R)}
 
 
 def as_explosion_r0_threshold(R: float, p: ModelParams) -> R0Threshold:

@@ -126,104 +126,99 @@ class ModelParams:
 class ForwardCurve:
     """Initial instantaneous forward curve lambda(t) = f(0, t).
 
-    Either flat or piecewise linear between knots, with the analytic segment
-    slope as lambda'(t). A tabulated curve is held constant beyond its last
-    knot (slope 0). All values must be positive.
+    Piecewise linear between knots (t_i, lambda_i) with t_0 = 0, held
+    constant beyond the last knot; lambda'(t) is the analytic segment slope
+    (0 beyond the last knot). A flat curve is the single knot (0, lambda0).
+    All values must be positive.
     """
 
-    __slots__ = ("kind", "_lambda0", "_t", "_v", "_m")
+    __slots__ = ("_t", "_v", "_m", "_mom")
 
-    def __init__(self, kind: str, lambda0: float = 0.0,
-                 knots: Optional[Sequence[Sequence[float]]] = None) -> None:
-        if kind == "flat":
-            if not lambda0 > 0.0:
-                raise ConfigError(f"flat curve needs lambda0 > 0, got {lambda0}")
-            self.kind = "flat"
-            self._lambda0 = float(lambda0)
-            self._t = self._v = self._m = None
-        elif kind == "tabulated":
-            arr = np.asarray(knots, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-                raise ConfigError("tabulated curve needs >= 2 (t, value) knots")
-            t, v = arr[:, 0], arr[:, 1]
-            if t[0] != 0.0:
-                raise ConfigError("first knot must be at t = 0")
-            if not np.all(np.diff(t) > 0.0):
-                raise ConfigError("knot times must be strictly increasing")
-            if not np.all(v > 0.0):
-                raise ConfigError("curve values must be positive")
-            self.kind = "tabulated"
-            self._lambda0 = float(v[0])
-            self._t = t
-            self._v = v
-            self._m = np.diff(v) / np.diff(t)
-            for a in (self._t, self._v, self._m):
-                a.setflags(write=False)
-        else:
-            raise ConfigError(f"unknown curve kind {kind!r}")
+    def __init__(self, knots: Sequence[Sequence[float]]) -> None:
+        arr = np.asarray(knots, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
+            raise ConfigError("curve needs (t, value) knots")
+        t, v = arr[:, 0], arr[:, 1]
+        if t[0] != 0.0:
+            raise ConfigError("first knot must be at t = 0")
+        if not np.all(np.diff(t) > 0.0):
+            raise ConfigError("knot times must be strictly increasing")
+        if not np.all(v > 0.0):
+            raise ConfigError("curve values must be positive")
+        m = np.append(np.diff(v) / np.diff(t), 0.0)  # slope from each knot on
+        # int_0^{t_i} s lambda'(s) ds at each knot, for integral()
+        mom = np.concatenate([[0.0], np.cumsum(0.5 * m[:-1] * np.diff(t * t))])
+        self._t, self._v, self._m, self._mom = t, v, m, mom
+        for a in (t, v, m, mom):
+            a.setflags(write=False)
 
     @classmethod
     def flat(cls, lambda0: float) -> "ForwardCurve":
-        return cls("flat", lambda0=lambda0)
+        return cls([[0.0, lambda0]])
 
     @classmethod
     def tabulated(cls, knots: Sequence[Sequence[float]]) -> "ForwardCurve":
-        return cls("tabulated", knots=knots)
+        curve = cls(knots)
+        if len(curve._t) < 2:
+            raise ConfigError("tabulated curve needs >= 2 (t, value) knots")
+        return curve
 
     @property
     def lambda0(self) -> float:
-        return self._lambda0
+        return float(self._v[0])
+
+    def _segment(self, t):
+        return np.maximum(np.searchsorted(self._t, t, side="right") - 1, 0)
 
     def value(self, t):
         """lambda(t); accepts scalars or arrays."""
-        if self.kind == "flat":
-            return self._lambda0 + np.zeros_like(np.asarray(t, dtype=float)) \
-                if np.ndim(t) else self._lambda0
         return np.interp(t, self._t, self._v)
 
     def slope(self, t):
-        """lambda'(t): the segment slope, 0 for flat or beyond the last knot."""
-        if self.kind == "flat":
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        idx = np.clip(np.searchsorted(self._t, t, side="right") - 1,
-                      0, len(self._m))
-        padded = np.concatenate([self._m, [0.0]])
-        out = padded[idx]
+        """lambda'(t): the segment slope, 0 beyond the last knot."""
+        out = self._m[self._segment(t)]
         return out if np.ndim(t) else float(out)
 
     def rate_and_slope(self, t):
         return self.value(t), self.slope(t)
 
+    def integral(self, T):
+        """int_0^T lambda(s) ds = T lambda(T) - int_0^T s lambda'(s) ds,
+        exact per segment; a constant curve gives exactly T * lambda0."""
+        T = np.asarray(T, dtype=float)
+        i = self._segment(T)
+        ti = self._t[i]
+        mom = self._mom[i] + 0.5 * self._m[i] * (T * T - ti * ti)
+        out = T * self.value(T) - mom
+        return out if np.ndim(T) else float(out)
+
+    def discount(self, T):
+        """P(0, T) = exp(-int_0^T lambda); 1 at T = 0."""
+        out = np.exp(-self.integral(T))
+        return out if np.ndim(T) else float(out)
+
     def shifted(self, a: float) -> "ForwardCurve":
         """The curve lambda(t) + a (used by the displaced-model reduction)."""
         if a == 0.0:
             return self
-        if self.kind == "flat":
-            return ForwardCurve.flat(self._lambda0 + a)
-        return ForwardCurve.tabulated(np.column_stack([self._t, self._v + a]))
+        return ForwardCurve(np.column_stack([self._t, self._v + a]))
 
     def satisfies_lower_bound(self, beta: float) -> bool:
         """Test lambda'(t) + beta*lambda(t) >= beta*lambda(0) at all knots.
 
         Under this condition the time-dependent dynamics dominate the flat
         dynamics at level lambda(0), so flat-curve explosion results apply.
+        The slope is constant per segment and lambda is linear, so checking
+        both ends of every segment, and the flat tail, is exact.
         """
-        if self.kind == "flat":
-            return True
-        target = beta * self._lambda0
-        # slope is piecewise constant and lambda is linear per segment, so
-        # checking both endpoints of every segment is exact
-        for i, m in enumerate(self._m):
-            if m + beta * self._v[i] < target:
-                return False
-            if m + beta * self._v[i + 1] < target:
-                return False
-        # constant extrapolation beyond the last knot
-        return 0.0 + beta * self._v[-1] >= target
+        target = beta * self._v[0]
+        m = self._m
+        return bool(np.all(m + beta * self._v >= target)
+                    and np.all(m[:-1] + beta * self._v[1:] >= target))
 
     def to_json(self) -> dict:
-        if self.kind == "flat":
-            return {"kind": "flat", "lambda0": self._lambda0}
+        if len(self._t) == 1:
+            return {"kind": "flat", "lambda0": self.lambda0}
         return {"kind": "tabulated",
                 "knots": [[float(t), float(v)] for t, v in zip(self._t, self._v)]}
 

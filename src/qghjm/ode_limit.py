@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, UnsupportedGamma
 from .model_core import ForwardCurve, ModelParams
@@ -56,6 +55,8 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
             f"the deterministic limit requires gamma = 1, got {p.gamma}")
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
+    # imported here: scipy.integrate dominates the package import time
+    from scipy.integrate import solve_ivp
 
     shift = p.displacement
     crv = curve.shifted(shift)

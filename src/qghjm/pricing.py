@@ -6,10 +6,11 @@ The zero-coupon bond price is
     P(t, T) = P(0,T)/P(0,t) * exp(-G(t,T) x - (1/2) G(t,T)^2 y),
 
 with x = r - lambda(t), G(t,T) = (1 - exp(-beta (T-t)))/beta, and
-P(0, T) = exp(-integral of lambda over [0, T]). Past an explosion the bond
-collapses to zero and the simple rate on it blows up; the Eurodollar
-futures estimator reports this through the diverged flag rather than a
-number.
+P(0, T) = ForwardCurve.discount(T). Past an explosion the bond collapses
+to zero and the simple rate on it blows up; the Eurodollar futures
+estimator reports this through the diverged flag rather than a number.
+The Monte Carlo estimates are array computations over one simulated batch,
+so a single simulation up to T serves the futures and the discount check.
 """
 
 from __future__ import annotations
@@ -21,61 +22,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import CollapsedBond, ConfigError
-from .model_core import ForwardCurve, ModelParams, State
-from .sde_engine import (McEstimate, OnExplosion, SimConfig,
-                         expectation_functional, pathwise_discount_factors)
+from .model_core import ForwardCurve, ModelParams
+from .sde_engine import (BatchPaths, McEstimate, SimConfig,
+                         _survivor_estimate, simulate_batch)
 
 __all__ = [
-    "DiscountCurve",
     "g_factor",
     "zcb_price",
     "libor",
+    "futures_config",
+    "futures_estimate",
     "eurodollar_futures",
+    "discount_estimate",
     "discount_consistency_check",
 ]
 
 # exp underflows to exactly 0.0 below roughly -745; make the collapse explicit
 _UNDERFLOW_EXPONENT = -745.0
-
-
-class DiscountCurve:
-    """Initial discount factors P(0, T) = exp(-int_0^T lambda(s) ds).
-
-    The integral is exact per linear segment of the forward curve.
-    """
-
-    def __init__(self, curve: ForwardCurve) -> None:
-        self.curve = curve
-        if curve.kind == "tabulated":
-            t = curve.to_json()["knots"]
-            arr = np.asarray(t, dtype=float)
-            self._t = arr[:, 0]
-            self._v = arr[:, 1]
-            seg = np.diff(self._t) * 0.5 * (self._v[:-1] + self._v[1:])
-            self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        else:
-            self._t = self._v = self._cum = None
-
-    def integral(self, T):
-        """int_0^T lambda(s) ds, exact for the piecewise-linear curve."""
-        if self.curve.kind == "flat":
-            return self.curve.lambda0 * np.asarray(T, dtype=float)
-        T = np.asarray(T, dtype=float)
-        idx = np.clip(np.searchsorted(self._t, T, side="right") - 1,
-                      0, len(self._t) - 1)
-        t0 = self._t[idx]
-        v0 = self._v[idx]
-        # slope is zero beyond the last knot (constant extrapolation)
-        m = np.where(idx < len(self._t) - 1,
-                     np.concatenate([np.diff(self._v) / np.diff(self._t), [0.0]])[idx],
-                     0.0)
-        dt = T - t0
-        return self._cum[idx] + v0 * dt + 0.5 * m * dt * dt
-
-    def price(self, T):
-        """P(0, T); equals 1 at T = 0 and decreases for positive rates."""
-        out = np.exp(-self.integral(T))
-        return float(out) if np.ndim(T) == 0 else out
 
 
 def g_factor(t: float, T: float, beta: float) -> float:
@@ -92,7 +55,7 @@ def g_factor(t: float, T: float, beta: float) -> float:
 
 
 def zcb_price(t: float, T: float, x: float, y: float, p: ModelParams,
-              dc: DiscountCurve) -> float:
+              curve: ForwardCurve) -> float:
     """Zero-coupon bond price from the state (x, y) at time t.
 
     Returns exactly 0.0 when the exponent underflows, signalling the
@@ -102,7 +65,7 @@ def zcb_price(t: float, T: float, x: float, y: float, p: ModelParams,
         raise ConfigError(f"T must be >= t, got t={t} T={T}")
     G = g_factor(t, T, p.beta)
     expo = -G * x - 0.5 * G * G * y
-    ratio = dc.price(T) / dc.price(t)
+    ratio = curve.discount(T) / curve.discount(t)
     if expo < _UNDERFLOW_EXPONENT:
         return 0.0
     return ratio * math.exp(expo)
@@ -123,37 +86,59 @@ def libor(t: float, T2: float, zcb: float) -> float:
     return (1.0 / zcb - 1.0) / (T2 - t)
 
 
-def eurodollar_futures(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
-                       T: float, delta: float, *,
-                       threads: Optional[int] = None) -> McEstimate:
-    """Monte Carlo estimate of E[1/P(T, T+delta)]:
+def futures_config(cfg: SimConfig, T: float, delta: float) -> SimConfig:
+    """The simulation settings of a futures estimate: cfg cut at T.
 
-        P(0,T)/P(0,T+delta) * E[exp(G(T,T+delta) x_T + (1/2) G^2 y_T)]
-
-    with x_T = r_T - lambda(T). Paths exploding before T make the true
-    expectation infinite; the estimate is then flagged diverged and covers
-    the surviving paths only. A surviving payoff whose exponent overflows
-    is treated as infinite rather than raising.
+    Raises ConfigError unless delta > 0 and T + delta fits the horizon.
     """
     if not delta > 0.0:
         raise ConfigError(f"delta must be positive, got {delta}")
     if not T + delta <= cfg.horizon:
         raise ConfigError(
             f"T + delta = {T + delta} exceeds horizon {cfg.horizon}")
+    return replace(cfg, horizon=T)
+
+
+def futures_estimate(batch: BatchPaths, p: ModelParams, curve: ForwardCurve,
+                     T: float, delta: float) -> McEstimate:
+    """E[1/P(T, T+delta)] from a batch simulated up to T:
+
+        P(0,T)/P(0,T+delta) * E[exp(G(T,T+delta) x_T + (1/2) G^2 y_T)]
+
+    with x_T = r_T - lambda(T). Paths exploding before T make the true
+    expectation infinite; the estimate is then flagged diverged and covers
+    the surviving paths only. A surviving payoff whose exponent overflows
+    is treated as infinite.
+    """
     G = g_factor(T, T + delta, p.beta)
     lam_T = float(curve.value(T))
+    surv = ~batch.exploded
+    expo = G * (batch.terminal_r[surv] - lam_T) \
+        + 0.5 * G * G * batch.terminal_y[surv]
+    with np.errstate(over="ignore"):
+        vals = np.where(expo < 709.0, np.exp(expo), math.inf)
+    est = _survivor_estimate(vals, len(surv), True)
+    factor = curve.discount(T) / curve.discount(T + delta)
+    return replace(est, mean=factor * est.mean,
+                   std_error=factor * est.std_error)
 
-    def payoff(s: State) -> float:
-        x = s.r - lam_T
-        expo = G * x + 0.5 * G * G * s.y
-        return math.exp(expo) if expo < 709.0 else math.inf
 
-    est = expectation_functional(p, curve, replace(cfg, horizon=T), payoff,
-                                 OnExplosion.DIVERGE, threads=threads)
-    dc = DiscountCurve(curve)
-    factor = dc.price(T) / dc.price(T + delta)
-    return McEstimate(mean=factor * est.mean, std_error=factor * est.std_error,
-                      n=est.n, n_exploded=est.n_exploded, diverged=est.diverged)
+def eurodollar_futures(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
+                       T: float, delta: float, *,
+                       threads: Optional[int] = None) -> McEstimate:
+    """Monte Carlo estimate of E[1/P(T, T+delta)]; see futures_estimate."""
+    batch = simulate_batch(p, curve, futures_config(cfg, T, delta),
+                           threads=threads)
+    return futures_estimate(batch, p, curve, T, delta)
+
+
+def discount_estimate(batch: BatchPaths) -> McEstimate:
+    """MC mean of the pathwise discount factor exp(-sum_k r_k dt) of a
+    batch simulated with want_discount. Exploded paths are excluded and
+    counted."""
+    surv = ~batch.exploded
+    return _survivor_estimate(np.exp(-batch.log_discount[surv]), len(surv),
+                              False)
 
 
 def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
@@ -162,19 +147,15 @@ def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
     """MC mean of the pathwise discount factor exp(-sum_k r_k dt) up to T.
 
     In an arbitrage-consistent implementation this reproduces P(0, T) up
-    to discretization and sampling error, which makes it a end-to-end
+    to discretization and sampling error, which makes it an end-to-end
     sanity check of the simulation. Exploded paths are excluded and
     counted.
     """
     if T == 0.0:
         return McEstimate(mean=1.0, std_error=0.0, n=cfg.n_paths,
                           n_exploded=0, diverged=False)
-    dfs, exploded = pathwise_discount_factors(p, curve, cfg, T, threads=threads)
-    surv = dfs[~exploded]
-    n = len(dfs)
-    if len(surv) == 0:
-        return McEstimate(mean=math.nan, std_error=math.nan, n=n,
-                          n_exploded=n, diverged=True)
-    se = float(surv.std(ddof=1) / math.sqrt(len(surv))) if len(surv) > 1 else 0.0
-    return McEstimate(mean=float(surv.mean()), std_error=se, n=n,
-                      n_exploded=int(exploded.sum()), diverged=False)
+    if not T <= cfg.horizon:
+        raise ConfigError(f"T={T} exceeds horizon={cfg.horizon}")
+    batch = simulate_batch(p, curve, replace(cfg, horizon=T),
+                           want_discount=True, threads=threads)
+    return discount_estimate(batch)

@@ -14,6 +14,10 @@ A path stops at the first step whose update produces r or y at or above
 the explosion threshold, or a non-finite value. The reported explosion
 time tau_hat is the left edge of that offending step (bias at most dt) and
 the state is frozen at its last good value.
+
+Estimators work on arrays: a payoff maps the terminal-state arrays
+(r_T, y_T) of the surviving paths to their values, and one helper gives
+the survivor mean, its standard error and the exploded count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Optional, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, EmptySample
-from .model_core import ForwardCurve, ModelParams, State
+from .model_core import ForwardCurve, ModelParams
 
 __all__ = [
     "SimConfig",
@@ -243,7 +247,7 @@ def _simulate_chunk(pl: _Plan, indices: np.ndarray,
     y = np.zeros(n)
     alive = np.ones(n, dtype=bool)
     gens = [_substream(pl.seed, int(i)) for i in indices]
-    noise = np.empty((n, _NOISE_BLOCK))
+    noise = np.empty((n, min(_NOISE_BLOCK, pl.n_steps)))
     stride = pl.record_stride
 
     k = 0
@@ -389,41 +393,48 @@ def explosion_probability(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                       n=n, n_exploded=hits, diverged=False)
 
 
-def expectation_functional(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
-                           payoff: Callable[[State], float],
-                           on_explosion: OnExplosion = OnExplosion.DIVERGE, *,
-                           threads: Optional[int] = None) -> McEstimate:
-    """Monte Carlo mean of payoff(terminal state).
+def _survivor_estimate(vals: np.ndarray, n: int, diverge: bool) -> McEstimate:
+    """Estimate from vals, the values of the surviving paths out of n.
 
-    DIVERGE: any explosion marks the estimate diverged; the reported mean
-    is the partial mean over surviving paths. EXCLUDE: the mean covers
-    surviving paths with the exploded count reported; raises EmptySample
-    when nothing survived.
+    diverge flags the estimate diverged when any path exploded; with no
+    survivor it is diverged with a nan mean and standard error.
     """
-    batch = simulate_batch(p, curve, cfg, threads=threads)
-    surv = np.flatnonzero(~batch.exploded)
-    n = len(batch.path_index)
-    n_exploded = n - len(surv)
-    if len(surv) == 0:
-        if on_explosion is OnExplosion.EXCLUDE:
-            raise EmptySample("all paths exploded before the horizon")
+    m = len(vals)
+    n_exploded = n - m
+    if m == 0:
         return McEstimate(mean=math.nan, std_error=math.nan, n=n,
                           n_exploded=n_exploded, diverged=True)
-    vals = np.array([
-        payoff(State(r=float(batch.terminal_r[i]),
-                     y=float(batch.terminal_y[i]), t=batch.t_end))
-        for i in surv
-    ])
-    mean = float(vals.mean())
-    if len(vals) > 1 and np.all(np.isfinite(vals)):
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    elif len(vals) > 1:
-        se = math.nan
-    else:
+    if m == 1:
         se = 0.0
-    diverged = (on_explosion is OnExplosion.DIVERGE) and n_exploded > 0
-    return McEstimate(mean=mean, std_error=se, n=n,
-                      n_exploded=n_exploded, diverged=diverged)
+    elif np.all(np.isfinite(vals)):
+        se = float(vals.std(ddof=1) / math.sqrt(m))
+    else:
+        se = math.nan
+    return McEstimate(mean=float(vals.mean()), std_error=se, n=n,
+                      n_exploded=n_exploded,
+                      diverged=diverge and n_exploded > 0)
+
+
+def expectation_functional(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
+                           payoff: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                           on_explosion: OnExplosion = OnExplosion.DIVERGE, *,
+                           threads: Optional[int] = None) -> McEstimate:
+    """Monte Carlo mean of payoff(r_T, y_T) over the terminal states.
+
+    payoff maps the arrays of surviving terminal rates and convexities to
+    an array of values (a scalar is broadcast). DIVERGE: any explosion
+    marks the estimate diverged; the reported mean is the partial mean over
+    surviving paths. EXCLUDE: the mean covers surviving paths with the
+    exploded count reported; raises EmptySample when nothing survived.
+    """
+    batch = simulate_batch(p, curve, cfg, threads=threads)
+    surv = ~batch.exploded
+    if on_explosion is OnExplosion.EXCLUDE and not surv.any():
+        raise EmptySample("all paths exploded before the horizon")
+    r, y = batch.terminal_r[surv], batch.terminal_y[surv]
+    vals = np.broadcast_to(np.asarray(payoff(r, y), dtype=float), r.shape)
+    return _survivor_estimate(vals, len(surv),
+                              on_explosion is OnExplosion.DIVERGE)
 
 
 def pathwise_discount_factors(p: ModelParams, curve: ForwardCurve,

@@ -187,9 +187,8 @@ def test_criterion_10_pricing_sanity():
     target = math.exp(-0.1)
     rel = abs(est.mean / target - 1.0)
 
-    dc = q.DiscountCurve(FLAT)
-    at_maturity = q.zcb_price(2.0, 2.0, 0.3, 0.2, p, dc)
-    ratio = q.zcb_price(1.0, 4.0, 0.0, 0.0, p, dc)
+    at_maturity = q.zcb_price(2.0, 2.0, 0.3, 0.2, p, FLAT)
+    ratio = q.zcb_price(1.0, 4.0, 0.0, 0.0, p, FLAT)
     ident = (abs(at_maturity - 1.0) <= 1e-15
              and abs(ratio - math.exp(-0.3)) <= 1e-15)
 

@@ -2,9 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import qghjm
+from qghjm import (ForwardCurve, ModelParams, SimConfig,
+                   discount_consistency_check, eurodollar_futures)
+from qghjm import sde_engine as eng
 from qghjm.cli import main
 
 MODEL = {"sigma": 0.2, "beta": 0.05, "gamma": 1.0, "epsilon": 0.01,
@@ -175,6 +183,17 @@ class TestOde:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+class TestImport:
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        code = ("import sys, qghjm.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(qghjm.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
 class TestPrice:
     def test_futures_and_discount(self, tmp_path):
         cfg = write_config(tmp_path / "p.json", {
@@ -189,6 +208,35 @@ class TestPrice:
         assert est == pytest.approx(math.exp(0.1 * 0.5), rel=0.02)
         disc = json.loads((out / "discount.json").read_text())
         assert disc["rel_error"] < 0.02
+
+    def test_one_simulation_serves_both(self, tmp_path, monkeypatch):
+        model = dict(MODEL, beta=0.2)
+        sim = {"dt": 0.01, "horizon": 3.0, "n_paths": 300, "seed": 4}
+        cfg = write_config(tmp_path / "p.json", {
+            "model": model, "curve": CURVE, "sim": sim,
+            "price": {"T": 2.0, "delta": 0.5, "discount_check": True}})
+        calls = []
+        real = eng.simulate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eng, "simulate_batch", counting)
+        out = tmp_path / "out"
+        assert main(["price", "--config", cfg, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0]["want_discount"]
+
+        p, s = ModelParams.from_json(model), SimConfig.from_json(sim)
+        curve = ForwardCurve.from_json(CURVE)
+        fut = eurodollar_futures(p, curve, s, 2.0, 0.5)
+        chk = discount_consistency_check(p, curve, s, 2.0)
+        for name, est, delta in (("futures.csv", fut, 0.5),
+                                 ("discount.csv", chk, 0.0)):
+            row = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            assert row.tolist() == [2.0, delta, est.mean, est.std_error,
+                                    est.n_exploded, int(est.diverged)]
 
     def test_maturity_guard(self, tmp_path):
         cfg = write_config(tmp_path / "p.json", {

@@ -383,6 +383,8 @@ class TestBuildAndVerify:
             - spec.c3 * (1 + 2 * R) ** -d.delta2
         assert K2 < K3
         assert q.k0(spec) > 0.0
+        assert q.level_constants(spec) == {"K0": q.k0(spec), "K1": spec.c1,
+                                           "K2": K2, "K3": K3}
 
     def test_corrupted_spec_fails(self):
         p = params()

@@ -167,6 +167,21 @@ class TestForwardCurve:
         with pytest.raises(ConfigError):
             ForwardCurve.from_json({"kind": "flat", "lambda0": 0.1, "x": 1})
 
+    def test_flat_is_constant_tabulated(self):
+        # one knot extended flat is the same curve, bit for bit, as a
+        # constant curve with two knots, also past the last knot
+        lam = 0.1
+        flat = ForwardCurve.flat(lam)
+        tab = ForwardCurve.tabulated([[0.0, lam], [5.0, lam]])
+        ts = np.array([0.0, 0.3, 1.0, 2.9, 5.0, 5.1, 7.0, 12.5, 100.0])
+        for f in ("value", "slope", "integral"):
+            a, b = getattr(flat, f)(ts), getattr(tab, f)(ts)
+            assert np.array_equal(a, b), f
+            for t in ts:
+                assert getattr(flat, f)(float(t)) == getattr(tab, f)(float(t))
+        assert np.array_equal(flat.integral(ts), ts * lam)
+        assert flat.to_json() == {"kind": "flat", "lambda0": lam}
+
     def test_shifted(self):
         tab = ForwardCurve.tabulated([[0.0, 0.1], [3.0, 0.2]])
         sh = tab.shifted(0.05)

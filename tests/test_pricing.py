@@ -1,15 +1,15 @@
 """Tests for discounting, bond pricing, simple rates, and futures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qghjm import (CollapsedBond, ConfigError, DiscountCurve, ForwardCurve,
-                   ModelParams, SimConfig, discount_consistency_check,
-                   eurodollar_futures, g_factor, libor, ode_integrate,
-                   zcb_price)
+from qghjm import (CollapsedBond, ConfigError, ForwardCurve, ModelParams,
+                   SimConfig, discount_consistency_check, eurodollar_futures,
+                   g_factor, libor, ode_integrate, simulate_batch, zcb_price)
 
 FLAT = ForwardCurve.flat(0.1)
 
@@ -22,25 +22,23 @@ def params(**kw):
 
 class TestDiscountCurve:
     def test_flat(self):
-        dc = DiscountCurve(FLAT)
-        assert dc.price(0.0) == 1.0
-        assert dc.price(2.0) == pytest.approx(math.exp(-0.2), rel=1e-15)
+        assert FLAT.discount(0.0) == 1.0
+        assert FLAT.discount(2.0) == pytest.approx(math.exp(-0.2), rel=1e-15)
 
     def test_tabulated_matches_quadrature(self):
         curve = ForwardCurve.tabulated([[0.0, 0.10], [1.5, 0.14],
                                         [4.0, 0.08]])
-        dc = DiscountCurve(curve)
         for T in (0.0, 0.7, 1.5, 2.9, 4.0, 6.0):
             pts = [x for x in (1.5, 4.0) if x < T] or None
             ref, err = quad(curve.value, 0.0, T, limit=200, points=pts)
             assert err < 1e-9
-            assert dc.integral(T) == pytest.approx(ref, abs=1e-9)
-            assert dc.price(T) == pytest.approx(math.exp(-ref), rel=1e-9)
+            assert curve.integral(T) == pytest.approx(ref, abs=1e-9)
+            assert curve.discount(T) == pytest.approx(math.exp(-ref), rel=1e-9)
 
     def test_strictly_decreasing(self):
-        dc = DiscountCurve(ForwardCurve.tabulated([[0.0, 0.05], [3.0, 0.11]]))
+        curve = ForwardCurve.tabulated([[0.0, 0.05], [3.0, 0.11]])
         Ts = np.linspace(0.0, 10.0, 40)
-        prices = dc.price(Ts)
+        prices = curve.discount(Ts)
         assert np.all(np.diff(prices) < 0.0)
 
 
@@ -72,36 +70,31 @@ class TestGFactor:
 
 class TestZcb:
     def test_maturity_identity(self):
-        dc = DiscountCurve(FLAT)
-        assert zcb_price(2.0, 2.0, 0.05, 0.01, params(), dc) == 1.0
+        assert zcb_price(2.0, 2.0, 0.05, 0.01, params(), FLAT) == 1.0
 
     def test_curve_ratio_at_zero_state(self):
-        dc = DiscountCurve(FLAT)
-        got = zcb_price(1.0, 4.0, 0.0, 0.0, params(), dc)
+        got = zcb_price(1.0, 4.0, 0.0, 0.0, params(), FLAT)
         assert got == pytest.approx(math.exp(-0.1 * 3.0), rel=1e-15)
 
     def test_collapse_at_huge_convexity(self):
-        dc = DiscountCurve(FLAT)
-        assert zcb_price(0.0, 10.0, 0.0, 1e6, params(), dc) == 0.0
+        assert zcb_price(0.0, 10.0, 0.0, 1e6, params(), FLAT) == 0.0
 
     def test_monotone_in_state(self):
-        dc = DiscountCurve(FLAT)
         p = params()
         xs = np.linspace(0.0, 0.5, 9)
-        px = [zcb_price(0.0, 5.0, float(x), 0.01, p, dc) for x in xs]
+        px = [zcb_price(0.0, 5.0, float(x), 0.01, p, FLAT) for x in xs]
         assert all(b < a for a, b in zip(px, px[1:]))
         ys = np.linspace(0.0, 0.5, 9)
-        py = [zcb_price(0.0, 5.0, 0.1, float(y), p, dc) for y in ys]
+        py = [zcb_price(0.0, 5.0, 0.1, float(y), p, FLAT) for y in ys]
         assert all(b < a for a, b in zip(py, py[1:]))
 
     def test_in_unit_interval_for_positive_state(self):
-        dc = DiscountCurve(FLAT)
         p = params()
         rng = np.random.default_rng(3)
         for _ in range(100):
             t = rng.uniform(0.0, 5.0)
             T = t + rng.uniform(0.0, 10.0)
-            v = zcb_price(t, T, rng.uniform(0, 1), rng.uniform(0, 1), p, dc)
+            v = zcb_price(t, T, rng.uniform(0, 1), rng.uniform(0, 1), p, FLAT)
             assert 0.0 < v <= 1.0
 
 
@@ -132,8 +125,7 @@ class TestEurodollar:
         est = eurodollar_futures(p, curve, cfg, T, delta)
         ode = ode_integrate(p, curve, T, tol=1e-12)
         G = g_factor(T, T + delta, p.beta)
-        dc = DiscountCurve(curve)
-        want = dc.price(T) / dc.price(T + delta) * math.exp(
+        want = curve.discount(T) / curve.discount(T + delta) * math.exp(
             G * (ode.terminal[0] - curve.value(T))
             + 0.5 * G * G * ode.terminal[1])
         assert not est.diverged
@@ -143,8 +135,7 @@ class TestEurodollar:
         p = params(sigma=1e-14)
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=4, seed=6)
         est = eurodollar_futures(p, FLAT, cfg, 1.0, 0.5)
-        dc = DiscountCurve(FLAT)
-        assert est.mean == pytest.approx(dc.price(1.0) / dc.price(1.5),
+        assert est.mean == pytest.approx(FLAT.discount(1.0) / FLAT.discount(1.5),
                                          rel=1e-8)
 
     def test_explosion_regime_diverges(self):
@@ -160,9 +151,36 @@ class TestEurodollar:
         p = params(sigma=0.2, beta=0.2)
         cfg = SimConfig(dt=0.01, horizon=3.0, n_paths=2000, seed=8)
         est = eurodollar_futures(p, FLAT, cfg, 2.0, 0.5)
-        dc = DiscountCurve(FLAT)
-        ratio = dc.price(2.0) / dc.price(2.5)
+        ratio = FLAT.discount(2.0) / FLAT.discount(2.5)
         assert est.mean >= ratio - 3.0 * est.std_error
+
+    def test_matches_per_path_loop(self):
+        # reference: the payoff per surviving path with math.exp. np.exp
+        # may differ from it by an ulp, and the standard error subtracts
+        # the mean (about 90 times the spread in the first case), so mean
+        # and standard error get tolerances of 1e-14 and 1e-12
+        for sigma, beta, T, n in ((0.2, 0.2, 2.0, 2000), (0.5, 0.0, 25.0, 400)):
+            p = params(sigma=sigma, beta=beta)
+            cfg = SimConfig(dt=0.02, horizon=T + 0.5, n_paths=n, seed=8)
+            est = eurodollar_futures(p, FLAT, cfg, T, 0.5)
+            batch = simulate_batch(p, FLAT, replace(cfg, horizon=T))
+            G = g_factor(T, T + 0.5, p.beta)
+            vals = []
+            for r, y, ex in zip(batch.terminal_r, batch.terminal_y,
+                                batch.exploded):
+                if not ex:
+                    expo = G * (r - 0.1) + 0.5 * G * G * y
+                    vals.append(math.exp(expo) if expo < 709.0 else math.inf)
+            vals = np.array(vals)
+            factor = math.exp(-0.1 * T) / math.exp(-0.1 * (T + 0.5))
+            assert est.n_exploded == n - len(vals)
+            assert est.diverged == (len(vals) < n)
+            assert est.mean == pytest.approx(factor * vals.mean(), rel=1e-14)
+            if np.all(np.isfinite(vals)):
+                se = factor * vals.std(ddof=1) / math.sqrt(len(vals))
+                assert est.std_error == pytest.approx(se, rel=1e-12)
+            else:
+                assert math.isnan(est.std_error)
 
     def test_horizon_guard(self):
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=4, seed=9)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestExplosion:
 class TestExpectation:
     def test_constant_payoff(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=50, seed=6)
-        est = expectation_functional(params(), FLAT, cfg, lambda s: 1.0)
+        est = expectation_functional(params(), FLAT, cfg, lambda r, y: 1.0)
         assert est.mean == 1.0
         assert est.std_error == 0.0
         assert not est.diverged
@@ -239,7 +240,7 @@ class TestExpectation:
     def test_small_noise_terminal_matches_ode(self):
         p = params(sigma=1e-10, beta=0.1)
         cfg = SimConfig(dt=0.005, horizon=3.0, n_paths=16, seed=8)
-        est = expectation_functional(p, FLAT, cfg, lambda s: s.r)
+        est = expectation_functional(p, FLAT, cfg, lambda r, y: r)
         ode = ode_integrate(p, FLAT, 3.0, tol=1e-12)
         assert est.mean == pytest.approx(ode.terminal[0],
                                          abs=3 * est.std_error + 2e-3 * 0.005)
@@ -247,7 +248,7 @@ class TestExpectation:
     def test_diverge_flags_explosions(self):
         p = params(sigma=0.5)
         cfg = SimConfig(dt=0.02, horizon=30.0, n_paths=100, seed=14)
-        est = expectation_functional(p, FLAT, cfg, lambda s: s.r,
+        est = expectation_functional(p, FLAT, cfg, lambda r, y: r,
                                      OnExplosion.DIVERGE)
         assert est.diverged
         assert est.n_exploded > 0
@@ -256,7 +257,7 @@ class TestExpectation:
     def test_exclude_counts_explosions(self):
         p = params(sigma=0.5)
         cfg = SimConfig(dt=0.02, horizon=30.0, n_paths=100, seed=14)
-        est = expectation_functional(p, FLAT, cfg, lambda s: s.r,
+        est = expectation_functional(p, FLAT, cfg, lambda r, y: r,
                                      OnExplosion.EXCLUDE)
         assert not est.diverged
         assert est.n == 100
@@ -268,7 +269,7 @@ class TestExpectation:
         cfg = SimConfig(dt=0.01, horizon=40.0, n_paths=4, seed=15,
                         explosion_threshold=1.0)
         with pytest.raises(EmptySample):
-            expectation_functional(p, FLAT, cfg, lambda s: s.r,
+            expectation_functional(p, FLAT, cfg, lambda r, y: r,
                                    OnExplosion.EXCLUDE)
 
     def test_discount_factors(self):
@@ -277,6 +278,19 @@ class TestExpectation:
         dfs, exploded = pathwise_discount_factors(p, FLAT, cfg, 1.0)
         assert not exploded.any()
         assert np.all((dfs > 0.8) & (dfs < 1.0))
+
+
+class TestMemory:
+    def test_noise_buffer_sized_to_steps(self):
+        # a one-step run must not hold a 1024-step noise block per path
+        cfg = SimConfig(dt=0.01, horizon=0.01, n_paths=5000, seed=18)
+        tracemalloc.start()
+        try:
+            simulate_batch(params(), FLAT, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestCsv:
