@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import explosion_criteria as xc
 from . import ode_limit, pricing
 from . import sde_engine as eng
 from ._csv import write_rows
-from .errors import ConfigError, GammaOutOfRange, QGHJMError
+from .errors import ConfigError, GammaOutOfRange, QGHJMError, as_int
 from .model_core import ForwardCurve, ModelParams
 
 _TOP_KEYS = {"model", "curve", "sim", "simulate", "region", "verify", "ode",
@@ -59,6 +60,9 @@ def _load_config(path: str, command: str, needs: set[str]) -> dict:
     missing = needs - set(raw)
     if missing:
         raise _fail_config(f"{command} requires section(s): {sorted(missing)}")
+    for key, sect in raw.items():
+        if sect is not None and not isinstance(sect, dict):
+            raise _fail_config(f"'{key}' section must be a JSON object")
     sect = raw.get(command)
     if sect is not None:
         bad = set(sect) - _SECTION_KEYS.get(command, set())
@@ -66,6 +70,17 @@ def _load_config(path: str, command: str, needs: set[str]) -> dict:
             raise _fail_config(
                 f"unknown key(s) in '{command}' section: {sorted(bad)}")
     return raw
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a malformed or missing value read in the block as a config
+    error about section what."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError) as e:
+        kind = "" if isinstance(e, ConfigError) else f"{type(e).__name__}: "
+        raise _fail_config(f"{what}: {kind}{e}") from None
 
 
 _PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
@@ -83,10 +98,8 @@ def _setup(args, *needs: str) -> list:
     for key in needs:
         if key not in _PARSERS:
             continue
-        try:
+        with _reading(key):
             obj = _PARSERS[key].from_json(raw[key])
-        except ConfigError as e:
-            raise _fail_config(f"{key}: {e}")
         if key == "sim" and args.seed is not None:
             obj = replace(obj, seed=args.seed)
         out.append(obj)
@@ -115,7 +128,9 @@ def cmd_simulate(args) -> int:
     opts = raw.get("simulate") or {}
     checkpoints = opts.get("checkpoints")
     if checkpoints is None:
-        checkpoints = list(np.linspace(cfg.horizon / 10.0, cfg.horizon, 10))
+        checkpoints = np.linspace(cfg.horizon / 10.0, cfg.horizon, 10)
+    with _reading("simulate"):
+        checkpoints = np.asarray(checkpoints, dtype=float).ravel()
 
     batch = eng.simulate_batch(p, curve, cfg, record=True, threads=args.threads)
     with open(os.path.join(args.out, "paths.csv"), "w") as fh:
@@ -150,18 +165,20 @@ def cmd_region(args) -> int:
         bad = set(sig) - {"start", "stop", "num"}
         if bad:
             raise _fail_config(f"unknown sigma key(s): {sorted(bad)}")
-        sigma_grid = np.linspace(float(sig["start"]), float(sig["stop"]),
-                                 int(sig["num"]))
-    else:
-        sigma_grid = np.asarray([float(s) for s in sig])
+    with _reading("region"):
+        gammas = [float(g) for g in gammas]
+        sigma_grid = (np.linspace(float(sig["start"]), float(sig["stop"]),
+                                  as_int(sig["num"]))
+                      if isinstance(sig, dict) else
+                      np.asarray([float(s) for s in sig]))
     if np.any(sigma_grid <= 0.0):
         raise _fail_config("sigma grid must be positive")
     for g in gammas:
-        if not 0.5 < float(g) <= 1.0:
+        if not 0.5 < g <= 1.0:
             raise _fail_config(f"gamma must be in (1/2, 1], got {g}")
     for g in gammas:
-        curve = xc.region_curve(float(g), sigma_grid)
-        name = f"region_gamma_{float(g):g}.csv"
+        curve = xc.region_curve(g, sigma_grid)
+        name = f"region_gamma_{g:g}.csv"
         with open(os.path.join(args.out, name), "w") as fh:
             curve.write_csv(fh)
     return 0
@@ -171,9 +188,10 @@ def cmd_verify(args) -> int:
     raw, p = _setup(args, "model")
     opts = raw.get("verify") or {}
     which = opts.get("condition", "II")
-    c3_scale = float(args.c3_scale if args.c3_scale is not None
-                     else opts.get("c3_scale", 1.0))
-    grid = xc.VerifyGrid(n=int(opts.get("grid_n", 200)))
+    with _reading("verify"):
+        c3_scale = float(args.c3_scale if args.c3_scale is not None
+                         else opts.get("c3_scale", 1.0))
+        grid = xc.VerifyGrid(n=as_int(opts.get("grid_n", 200)))
     out: dict = {"model": p.to_json(), "condition_requested": which,
                  "c3_scale": c3_scale}
 
@@ -228,11 +246,10 @@ def cmd_verify(args) -> int:
 def cmd_ode(args) -> int:
     raw, p, curve = _setup(args, "model", "curve", "ode")
     opts = raw["ode"]
-    if "horizon" not in opts:
-        raise _fail_config("ode requires 'horizon'")
-    horizon = float(opts["horizon"])
-    tol = float(opts.get("tol", 1e-10))
-    blowup = float(opts.get("blowup_threshold", 1e10))
+    with _reading("ode"):
+        horizon = float(opts["horizon"])
+        tol = float(opts.get("tol", 1e-10))
+        blowup = float(opts.get("blowup_threshold", 1e10))
     try:
         res = ode_limit.ode_integrate(p, curve, horizon, tol,
                                       blowup_threshold=blowup)
@@ -267,10 +284,9 @@ def _write_estimate(path: str, T: float, delta: float,
 def cmd_price(args) -> int:
     raw, p, curve, cfg = _setup(args, "model", "curve", "sim", "price")
     opts = raw["price"]
-    if "T" not in opts or "delta" not in opts:
-        raise _fail_config("price requires 'T' and 'delta'")
-    T = float(opts["T"])
-    delta = float(opts["delta"])
+    with _reading("price"):
+        T = float(opts["T"])
+        delta = float(opts["delta"])
     check = bool(opts.get("discount_check"))
     # one simulation up to T serves the futures and the discount check
     batch = eng.simulate_batch(p, curve, pricing.futures_config(cfg, T, delta),

@@ -34,3 +34,10 @@ class InfeasibleWedge(QGHJMError):
 class CollapsedBond(QGHJMError):
     """A zero-coupon bond price underflowed to zero, so the implied simple
     rate is infinite."""
+
+
+def as_int(value) -> int:
+    """An integer config value: 2 and 2.0 pass, 2.5 is a ConfigError."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return value if isinstance(value, int) else int(float(value))

@@ -10,10 +10,18 @@ whether it is simulated alone or inside a batch, in any launch order, with
 any thread count, and common-random-number comparisons across parameter
 values reuse the same noise.
 
-A path stops at the first step whose update produces r or y at or above
-the explosion threshold, or a non-finite value. The reported explosion
-time tau_hat is the left edge of that offending step (bias at most dt) and
-the state is frozen at its last good value.
+Kernel
+------
+simulate_batch runs each contiguous chunk of the batch (one per thread)
+on its live paths only: r, y and the discount sum are arrays over them,
+and cols holds their columns in the chunk. A step reads its normals as
+noise[j, cols] from a step-major block of 1024 steps, and the volatility
+is model_core.sigma_r of the shifted rate (the displacement moves into
+the curve and is taken off every emitted r). A path stops at the first
+step whose update gives r or y at or above the explosion threshold, or a
+non-finite value: tau_hat is the left edge of that step (bias at most
+dt), the path keeps its last good state, and the live arrays are
+compacted on that step only.
 
 Estimators work on arrays: a payoff maps the terminal-state arrays
 (r_T, y_T) of the surviving paths to their values, and one helper gives
@@ -24,14 +32,16 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, EmptySample
-from .model_core import ForwardCurve, ModelParams
+from ._csv import write_rows
+from .errors import ConfigError, EmptySample, as_int
+from .model_core import ForwardCurve, ModelParams, sigma_r
 
 __all__ = [
     "SimConfig",
@@ -49,7 +59,6 @@ __all__ = [
 ]
 
 _NOISE_BLOCK = 1024
-_U64 = np.uint64
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,10 @@ class SimConfig:
         return cls(
             dt=float(obj["dt"]),
             horizon=float(obj["horizon"]),
-            n_paths=int(obj["n_paths"]),
-            seed=int(obj["seed"]),
+            n_paths=as_int(obj["n_paths"]),
+            seed=as_int(obj["seed"]),
             explosion_threshold=float(obj.get("explosion_threshold", 1e6)),
-            record_stride=int(obj.get("record_stride", 1)),
+            record_stride=as_int(obj.get("record_stride", 1)),
         )
 
     def to_json(self) -> dict:
@@ -164,144 +173,9 @@ class BatchPaths:
     log_discount: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Precomputed step schedule with the displaced model reduced away.
-
-    The kernel simulates the shifted rate on the shifted curve and the
-    displacement is subtracted from every emitted r sample, which makes the
-    displaced/shifted equivalence hold bit-for-bit.
-    """
-
-    sigma: float
-    beta: float
-    gamma: float
-    eps_pow: float
-    vol_cap: Optional[float]
-    shift: float
-    r_init: float
-    lam: np.ndarray
-    dlam: np.ndarray
-    dt: float
-    sqrt_dt: float
-    n_steps: int
-    threshold: float
-    seed: int
-    record_idx: np.ndarray
-    record_stride: int
-
-
 def _substream(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed, path_index], dtype=_U64)
+    key = np.array([seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _make_plan(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
-               record: bool) -> _Plan:
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    if n_steps < 1:
-        raise ConfigError("horizon shorter than one step")
-    if not cfg.explosion_threshold >= 10.0 * p.lambda0:
-        raise ConfigError(
-            "explosion_threshold must be at least 10 * lambda0 "
-            f"({10.0 * p.lambda0}), got {cfg.explosion_threshold}")
-    crv = curve.shifted(p.displacement)
-    tg = cfg.dt * np.arange(n_steps)
-    lam = np.asarray(crv.value(tg), dtype=float)
-    dlam = np.asarray(crv.slope(tg), dtype=float)
-    record_idx = (np.arange(0, n_steps + 1, cfg.record_stride)
-                  if record else np.empty(0, dtype=int))
-    return _Plan(
-        sigma=p.sigma, beta=p.beta, gamma=p.gamma,
-        eps_pow=p.epsilon ** (p.gamma - 1.0), vol_cap=p.vol_cap,
-        shift=p.displacement, r_init=crv.lambda0,
-        lam=lam, dlam=dlam, dt=cfg.dt, sqrt_dt=math.sqrt(cfg.dt),
-        n_steps=n_steps, threshold=cfg.explosion_threshold,
-        seed=int(cfg.seed), record_idx=record_idx,
-        record_stride=cfg.record_stride,
-    )
-
-
-def _vol(pl: _Plan, r: np.ndarray) -> np.ndarray:
-    pos = r > 0.0
-    rs = np.where(pos, r, 1.0)
-    v = np.where(pos,
-                 pl.sigma * r * np.minimum(rs ** (pl.gamma - 1.0), pl.eps_pow),
-                 0.0)
-    if pl.vol_cap is not None:
-        v = np.minimum(np.maximum(v, 0.0), pl.vol_cap)
-    return v
-
-
-def _simulate_chunk(pl: _Plan, indices: np.ndarray,
-                    tau: np.ndarray, term_r: np.ndarray, term_y: np.ndarray,
-                    rec_r: Optional[np.ndarray], rec_y: Optional[np.ndarray],
-                    ldisc: Optional[np.ndarray]) -> None:
-    """Simulate the given path indices, writing results in place.
-
-    The output arrays are views over the chunk's slice, so concurrent
-    chunks never overlap.
-    """
-    n = len(indices)
-    r = np.full(n, pl.r_init)
-    y = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    gens = [_substream(pl.seed, int(i)) for i in indices]
-    noise = np.empty((n, min(_NOISE_BLOCK, pl.n_steps)))
-    stride = pl.record_stride
-
-    k = 0
-    while k < pl.n_steps and alive.any():
-        nb = min(_NOISE_BLOCK, pl.n_steps - k)
-        for j in range(n):
-            if alive[j]:
-                noise[j, :nb] = gens[j].standard_normal(nb)
-        for j in range(nb):
-            kk = k + j
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            if rec_r is not None and kk % stride == 0:
-                row = kk // stride
-                rec_r[row, idx] = r[idx] - pl.shift
-                rec_y[row, idx] = y[idx]
-            if ldisc is not None:
-                ldisc[idx] += (r[idx] - pl.shift) * pl.dt
-            rk = r[idx]
-            yk = y[idx]
-            sr = _vol(pl, rk)
-            rn = rk + (yk - pl.beta * rk + pl.beta * pl.lam[kk] + pl.dlam[kk]) * pl.dt \
-                + sr * pl.sqrt_dt * noise[idx, j]
-            yn = np.maximum(yk + (sr * sr - 2.0 * pl.beta * yk) * pl.dt, 0.0)
-            bad = (~np.isfinite(rn)) | (~np.isfinite(yn)) \
-                | (rn >= pl.threshold) | (yn >= pl.threshold)
-            if bad.any():
-                hit = idx[bad]
-                tau[hit] = kk * pl.dt
-                alive[hit] = False
-                good = ~bad
-                r[idx[good]] = rn[good]
-                y[idx[good]] = yn[good]
-            else:
-                r[idx] = rn
-                y[idx] = yn
-        k += nb
-
-    if rec_r is not None and pl.n_steps % stride == 0:
-        row = pl.n_steps // stride
-        idx = np.flatnonzero(alive)
-        rec_r[row, idx] = r[idx] - pl.shift
-        rec_y[row, idx] = y[idx]
-    term_r[:] = r - pl.shift
-    term_y[:] = y
-
-
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    import os
-    env = os.environ.get("QGHJM_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
@@ -314,43 +188,99 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     contiguous chunks whose results land in disjoint slices, so the output
     is independent of scheduling.
     """
-    pl = _make_plan(p, curve, cfg, record)
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    if not cfg.explosion_threshold >= 10.0 * p.lambda0:
+        raise ConfigError(
+            "explosion_threshold must be at least 10 * lambda0 "
+            f"({10.0 * p.lambda0}), got {cfg.explosion_threshold}")
     if path_indices is None:
         idx = np.arange(cfg.n_paths, dtype=np.int64)
     else:
         idx = np.asarray(path_indices, dtype=np.int64)
+    if np.any(idx < 0):
+        raise ConfigError("path indices must be >= 0")
     n = len(idx)
-    tau = np.full(n, np.inf)
-    term_r = np.empty(n)
-    term_y = np.empty(n)
+    # the shifted rate on the shifted curve, with the shift taken off
+    # every emitted r: the displaced/shifted identity then holds bit for bit
+    shift = p.displacement
+    p0 = replace(p, displacement=0.0)
+    crv = curve.shifted(shift)
+    lam, dlam = crv.rate_and_slope(cfg.dt * np.arange(n_steps))
+    beta, dt, sqrt_dt = p.beta, cfg.dt, math.sqrt(cfg.dt)
+    thr, stride = cfg.explosion_threshold, cfg.record_stride
+
+    tau, term_r, term_y = np.full(n, np.inf), np.empty(n), np.empty(n)
     rec_r = rec_y = rec_t = None
     if record:
-        rec_t = pl.record_idx * pl.dt
-        rec_r = np.full((len(pl.record_idx), n), np.nan)
-        rec_y = np.full((len(pl.record_idx), n), np.nan)
+        rec_t = np.arange(0, n_steps + 1, stride) * dt
+        rec_r = np.full((len(rec_t), n), np.nan)
+        rec_y = np.full((len(rec_t), n), np.nan)
     ldisc = np.zeros(n) if want_discount else None
 
-    nthreads = _resolve_threads(threads)
+    def run(lo: int, hi: int) -> None:
+        """Simulate batch positions lo..hi-1, writing their results."""
+        cols = np.arange(hi - lo)
+        gens = [_substream(cfg.seed, int(i)) for i in idx[lo:hi]]
+        noise = np.empty((min(_NOISE_BLOCK, n_steps), hi - lo))
+        tau_c, tr_c, ty_c, ld_c = (None if a is None else a[lo:hi]
+                                   for a in (tau, term_r, term_y, ldisc))
+        rr_c, ry_c = (None if a is None else a[:, lo:hi] for a in (rec_r, rec_y))
+        r, y = np.full(hi - lo, crv.lambda0), np.zeros(hi - lo)
+        disc = None if ldisc is None else np.zeros(hi - lo)
+
+        for k0 in range(0, n_steps, _NOISE_BLOCK):
+            nb = min(_NOISE_BLOCK, n_steps - k0)
+            for c in cols.tolist():
+                noise[:nb, c] = gens[c].standard_normal(nb)
+            for k in range(k0, k0 + nb):
+                if not cols.size:
+                    break
+                if rr_c is not None and k % stride == 0:
+                    rr_c[k // stride, cols] = r - shift
+                    ry_c[k // stride, cols] = y
+                if disc is not None:
+                    disc += (r - shift) * dt
+                sr = sigma_r(r, p0)
+                rn = r + (y - beta * r + beta * lam[k] + dlam[k]) * dt \
+                    + sr * sqrt_dt * noise[k - k0, cols]
+                yn = np.maximum(y + (sr * sr - 2.0 * beta * y) * dt, 0.0)
+                # rn, yn finite and below thr (yn is never -inf)
+                ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
+                if ok.all():
+                    r, y = rn, yn
+                    continue
+                # the exploded paths keep their last good state
+                dead = ~ok
+                at = cols[dead]
+                tau_c[at] = k * dt
+                tr_c[at] = r[dead] - shift
+                ty_c[at] = y[dead]
+                if disc is not None:
+                    ld_c[at] = disc[dead]
+                    disc = disc[ok]
+                cols, r, y = cols[ok], rn[ok], yn[ok]
+
+        if rr_c is not None and n_steps % stride == 0:
+            rr_c[n_steps // stride, cols] = r - shift
+            ry_c[n_steps // stride, cols] = y
+        tr_c[cols] = r - shift
+        ty_c[cols] = y
+        if disc is not None:
+            ld_c[cols] = disc
+
+    if threads is None:
+        threads = os.environ.get("QGHJM_THREADS") or 1
+    nthreads = max(1, int(threads))
     if nthreads == 1 or n < 2 * nthreads:
-        _simulate_chunk(pl, idx, tau, term_r, term_y, rec_r, rec_y, ldisc)
+        run(0, n)
     else:
-        bounds = np.linspace(0, n, nthreads + 1, dtype=int)
+        bounds = np.linspace(0, n, nthreads + 1, dtype=int).tolist()
         with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            futs = []
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                if b > a:
-                    futs.append(ex.submit(
-                        _simulate_chunk, pl, idx[a:b], tau[a:b],
-                        term_r[a:b], term_y[a:b],
-                        None if rec_r is None else rec_r[:, a:b],
-                        None if rec_y is None else rec_y[:, a:b],
-                        None if ldisc is None else ldisc[a:b]))
-            for f in futs:
-                f.result()
+            list(ex.map(run, bounds[:-1], bounds[1:]))  # re-raises
 
     return BatchPaths(
         path_index=idx, exploded=np.isfinite(tau), tau_hat=tau,
-        terminal_r=term_r, terminal_y=term_y, t_end=pl.n_steps * pl.dt,
+        terminal_r=term_r, terminal_y=term_y, t_end=n_steps * dt,
         record_times=rec_t, rec_r=rec_r, rec_y=rec_y, log_discount=ldisc,
     )
 
@@ -362,18 +292,12 @@ def simulate_path(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     Bit-identical to the same index inside any batch with the same seed.
     """
     batch = simulate_batch(p, curve, cfg, [path_index], record=True)
-    alive_rows = ~np.isnan(batch.rec_r[:, 0])
-    samples = np.column_stack([
-        batch.record_times[alive_rows],
-        batch.rec_r[alive_rows, 0],
-        batch.rec_y[alive_rows, 0],
-    ])
-    return PathResult(
-        exploded=bool(batch.exploded[0]),
-        tau_hat=float(batch.tau_hat[0]),
-        samples=samples,
-        path_index=int(path_index),
-    )
+    samples = np.column_stack(
+        [batch.record_times, batch.rec_r[:, 0], batch.rec_y[:, 0]])
+    return PathResult(exploded=bool(batch.exploded[0]),
+                      tau_hat=float(batch.tau_hat[0]),
+                      samples=samples[~np.isnan(samples[:, 1])],
+                      path_index=int(path_index))
 
 
 def explosion_probability(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
@@ -457,16 +381,14 @@ def write_paths_csv(batch: BatchPaths, fh: TextIO) -> None:
     """Recorded samples as CSV rows path_index,t,r,y (pre-explosion only)."""
     if batch.rec_r is None:
         raise ValueError("batch was simulated without recording")
-    fh.write("path_index,t,r,y\n")
-    for col, pi in enumerate(batch.path_index):
-        alive = ~np.isnan(batch.rec_r[:, col])
-        for t, r, y in zip(batch.record_times[alive],
-                           batch.rec_r[alive, col], batch.rec_y[alive, col]):
-            fh.write(f"{int(pi)},{t:.17g},{r:.17g},{y:.17g}\n")
+    alive = ~np.isnan(batch.rec_r.T)  # path-major, like the rows
+    cols = [np.broadcast_to(v, alive.shape)[alive] for v in
+            (batch.path_index[:, None], batch.record_times,
+             batch.rec_r.T, batch.rec_y.T)]
+    write_rows(fh, "path_index,t,r,y", np.column_stack(cols))
 
 
 def write_explosions_csv(batch: BatchPaths, fh: TextIO) -> None:
     """Explosion summary as CSV rows path_index,exploded,tau_hat."""
-    fh.write("path_index,exploded,tau_hat\n")
-    for pi, ex, tau in zip(batch.path_index, batch.exploded, batch.tau_hat):
-        fh.write(f"{int(pi)},{int(ex)},{tau:.17g}\n")
+    write_rows(fh, "path_index,exploded,tau_hat", np.column_stack(
+        [batch.path_index, batch.exploded, batch.tau_hat]))

@@ -90,6 +90,33 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+SIM = {"dt": 0.01, "horizon": 1.0, "n_paths": 2, "seed": 1}
+REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "sim", dict(SIM, dt="x")),
+    ("simulate", "model", dict(MODEL, sigma=None)),
+    ("price", "price", {"T": "x", "delta": 0.5}),
+    ("verify", "verify", {"grid_n": "x"}),
+    ("simulate", "simulate", {"checkpoints": "ab"}),
+    ("region", "region", dict(REGION, gammas=["x"])),
+    ("region", "region", dict(REGION, sigma={"start": 0.1, "num": 3})),
+    ("simulate", "curve", {"kind": "tabulated", "knots": "x"}),
+    ("simulate", "curve", {"kind": "flat"}),
+    ("ode", "ode", {"horizon": "x"}),
+    ("price", "price", 3),
+    ("simulate", "sim", dict(SIM, n_paths=2.5)),
+])
+def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
+    obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
+           "ode": {"horizon": 1.0}, "price": {"T": 0.5, "delta": 0.25}}
+    cfg = write_config(tmp_path / "c.json", dict(obj, **{section: value}))
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestRegion:
     def test_csv_per_gamma(self, tmp_path):
         cfg = write_config(tmp_path / "r.json", {

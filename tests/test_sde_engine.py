@@ -12,6 +12,7 @@ from qghjm import (ConfigError, EmptySample, ForwardCurve, ModelParams,
                    explosion_probability, ode_integrate,
                    pathwise_discount_factors, sigma_r, simulate_batch,
                    simulate_path)
+from qghjm import sde_engine as eng
 from qghjm.sde_engine import write_explosions_csv, write_paths_csv
 
 
@@ -85,6 +86,32 @@ class TestDeterminism:
         a = simulate_path(p, FLAT, cfg, 1)
         b = simulate_path(p, FLAT, cfg, 1)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_compaction_keeps_every_path(self):
+        # deaths in several noise blocks; each path alone matches the batch
+        p = params(sigma=0.5, beta=0.01)
+        cfg = SimConfig(dt=0.02, horizon=50.0, n_paths=60, seed=61,
+                        record_stride=7)
+        order = np.random.default_rng(0).permutation(cfg.n_paths)
+        batch = simulate_batch(p, FLAT, cfg, order, record=True,
+                               want_discount=True, threads=2)
+        block = np.floor(batch.tau_hat[batch.exploded]
+                         / (eng._NOISE_BLOCK * cfg.dt))
+        assert len(np.unique(block)) >= 2
+        for pos in [0, 1, *np.flatnonzero(batch.exploded)[-3:],
+                    *np.flatnonzero(~batch.exploded)[:2]]:
+            one = simulate_batch(p, FLAT, cfg, [order[pos]], record=True,
+                                 want_discount=True)
+            for f in ("rec_r", "rec_y"):
+                np.testing.assert_array_equal(getattr(one, f)[:, 0],
+                                              getattr(batch, f)[:, pos])
+            for f in ("tau_hat", "terminal_r", "terminal_y", "log_discount"):
+                assert getattr(one, f)[0] == getattr(batch, f)[pos], f
+
+    def test_negative_index_rejected(self):
+        cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, seed=1)
+        with pytest.raises(ConfigError):
+            simulate_batch(params(), FLAT, cfg, [-1])
 
     def test_displaced_equals_shifted_lognormal(self):
         # displaced run == shifted-curve run minus the shift, bit for bit
@@ -312,3 +339,30 @@ class TestCsv:
         elines = texts[0][1].splitlines()
         assert elines[0] == "path_index,exploded,tau_hat"
         assert len(elines) == 6
+
+    def test_bytes_match_per_row_format(self):
+        # the per-row f-strings that wrote these files before, as reference
+        def reference(batch):
+            paths = ["path_index,t,r,y\n"]
+            for col, pi in enumerate(batch.path_index):
+                alive = ~np.isnan(batch.rec_r[:, col])
+                for t, r, y in zip(batch.record_times[alive],
+                                   batch.rec_r[alive, col],
+                                   batch.rec_y[alive, col]):
+                    paths.append(f"{int(pi)},{t:.17g},{r:.17g},{y:.17g}\n")
+            expl = ["path_index,exploded,tau_hat\n"]
+            for pi, ex, tau in zip(batch.path_index, batch.exploded,
+                                   batch.tau_hat):
+                expl.append(f"{int(pi)},{int(ex)},{tau:.17g}\n")
+            return "".join(paths), "".join(expl)
+
+        cfg = SimConfig(dt=0.02, horizon=30.0, n_paths=40, seed=19,
+                        record_stride=9)
+        for p in (params(sigma=0.5), params(sigma=0.5, displacement=0.02)):
+            batch = simulate_batch(p, FLAT, cfg, [39, 3, 17, 0, 25, 8],
+                                   record=True)
+            assert batch.exploded.any() and not batch.exploded.all()
+            buf_p, buf_e = io.StringIO(), io.StringIO()
+            write_paths_csv(batch, buf_p)
+            write_explosions_csv(batch, buf_e)
+            assert (buf_p.getvalue(), buf_e.getvalue()) == reference(batch)
