@@ -8,13 +8,12 @@ from .errors import (CollapsedBond, ConfigError, DomainError, EmptySample,
                      UnsupportedGamma)
 from .explosion_criteria import (A5Report, ConditionReport, DeltaPair,
                                  LyapunovSpec, R0Threshold, RegionCurve,
-                                 ScanSpec, VerificationReport, VerifyGrid,
-                                 WedgeSlopes, as_explosion_r0_threshold,
-                                 beta_max, build_lyapunov, check_condition,
-                                 condition_F, condition_G, delta2_star, k0,
-                                 kappa_delta, kappas, level_constants,
-                                 min_F_hat, region_curve, scale_c3,
-                                 verify_a5_function,
+                                 VerificationReport, VerifyGrid, WedgeSlopes,
+                                 as_explosion_r0_threshold, beta_max,
+                                 build_lyapunov, check_condition, condition_F,
+                                 condition_G, delta2_star, k0, kappa_delta,
+                                 kappas, level_constants, min_F_hat,
+                                 region_curve, scale_c3, verify_a5_function,
                                  verify_generator_inequality,
                                  wedge_feasible_slopes)
 from .model_core import (ForwardCurve, ModelParams, SmoothField, State,

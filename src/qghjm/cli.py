@@ -33,7 +33,7 @@ _TOP_KEYS = {"model", "curve", "sim", "simulate", "region", "verify", "ode",
 _SECTION_KEYS = {
     "simulate": {"checkpoints"},
     "region": {"gammas", "sigma"},
-    "verify": {"condition", "c3_scale", "grid_n", "R"},
+    "verify": {"condition", "c3_scale", "grid_n"},
     "ode": {"horizon", "tol", "blowup_threshold"},
     "price": {"T", "delta", "discount_check"},
 }
@@ -287,7 +287,9 @@ def cmd_price(args) -> int:
     with _reading("price"):
         T = float(opts["T"])
         delta = float(opts["delta"])
-    check = bool(opts.get("discount_check"))
+    check = opts.get("discount_check", False)
+    if not isinstance(check, bool):
+        raise _fail_config(f"price: discount_check {check!r} is not a boolean")
     # one simulation up to T serves the futures and the discount check
     batch = eng.simulate_batch(p, curve, pricing.futures_config(cfg, T, delta),
                                want_discount=check, threads=args.threads)

@@ -16,9 +16,10 @@ A = 2*beta + (1/2) sigma^2 delta2 (delta2 + 1):
   (II) sup_{R >= eps} ( G(R) - A ) >= 0 with
        G(R) = d2 * R / (1+R)^(d2+1),
 
-where G peaks at R0 = 1/delta2 with value (d2/(1+d2))^(d2+1). Scanning
-the peak value over delta2 yields the admissible mean-reversion band
-0 <= beta <= beta_max(sigma, gamma), which closes at sigma = sqrt(2).
+where G peaks at R0 = 1/delta2 with value (d2/(1+d2))^(d2+1). For
+epsilon <= 1, condition (II) therefore holds exactly when beta lies in the
+admissible mean-reversion band 0 <= beta <= beta_max(sigma, gamma) that
+the peak value scanned over delta2 yields; it closes at sigma = sqrt(2).
 
 A certificate is realized by a bounded function
 
@@ -64,7 +65,6 @@ __all__ = [
     "ConditionReport",
     "RegionCurve",
     "WedgeSlopes",
-    "ScanSpec",
     "VerifyGrid",
     "VerificationReport",
     "R0Threshold",
@@ -91,6 +91,12 @@ __all__ = [
 ]
 
 _COUPLING_TOL = 1e-12
+# delta2 scans run over [_D2_MIN, _D2_TOP * (2*gamma - 1)]
+_D2_MIN = 1e-4
+_D2_TOP = 1.0 - 1e-9
+_R_MAX = 1e4
+_N_GRID = 400
+_REFINE_TOL = 1e-10
 
 
 def _require_gamma(gamma: float) -> None:
@@ -207,16 +213,6 @@ class WedgeSlopes:
     @property
     def nonempty(self) -> bool:
         return self.kind != "empty"
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Grid resolution for the condition scans."""
-
-    n_delta2: int = 400
-    n_r: int = 400
-    r_max: float = 1e4
-    refine_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -340,44 +336,11 @@ def kappas(R: float, p: ModelParams, d: DeltaPair) -> tuple[float, float]:
 # condition scans and the admissible region
 
 
-def check_condition(p: ModelParams, which: str,
-                    scan: Optional[ScanSpec] = None) -> ConditionReport:
-    """Scan condition I or II over delta2 in (0, 2*gamma-1) and R >= epsilon.
-
-    Grid search (log-uniform per the scan spec) followed by golden-section
-    refinement. Condition I is satisfied when its sup is strictly positive,
-    condition II when its sup is non-negative; the closed-form maximizer
-    R0 = 1/delta2 replaces the R scan for condition II.
-    """
-    _require_gamma(p.gamma)
-    if which not in ("I", "II"):
-        raise ConfigError(f"condition must be 'I' or 'II', got {which!r}")
-    sc = scan or ScanSpec()
-    d2_hi = 2.0 * p.gamma - 1.0
-    d2_grid = np.geomspace(1e-4, d2_hi * (1.0 - 1e-9), sc.n_delta2)
-
-    if which == "II":
-        def margin(d2: float) -> float:
-            dd = DeltaPair.from_delta2(d2, p.gamma)
-            r0 = max(1.0 / d2, p.epsilon)
-            return condition_G(r0, dd) - _a_const(p, dd)
-
-        vals = np.array([margin(d2) for d2 in d2_grid])
-        i = int(np.argmax(vals))
-        lo = d2_grid[max(i - 1, 0)]
-        hi = d2_grid[min(i + 1, len(d2_grid) - 1)]
-        d2_best, sup = golden_max(margin, lo, hi, tol=sc.refine_tol)
-        if vals[i] > sup:
-            d2_best, sup = float(d2_grid[i]), float(vals[i])
-        deltas = DeltaPair.from_delta2(d2_best, p.gamma)
-        wr = max(1.0 / d2_best, p.epsilon)
-        ok = sup >= 0.0
-        return ConditionReport(condition="II", satisfied=ok,
-                               witness_R=wr if ok else None,
-                               witness_deltas=deltas if ok else None,
-                               sup_value=float(sup))
-
-    r_grid = np.geomspace(p.epsilon, sc.r_max, sc.n_r)
+def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
+    """(sup F, deltas, R) of condition I: a log-uniform (delta2, R) grid
+    search followed by golden-section refinement."""
+    d2_grid = np.geomspace(_D2_MIN, d2_hi * _D2_TOP, _N_GRID)
+    r_grid = np.geomspace(p.epsilon, _R_MAX, _N_GRID)
     best = (-math.inf, d2_grid[0], r_grid[0])
     for d2 in d2_grid:
         dd = DeltaPair.from_delta2(float(d2), p.gamma)
@@ -394,19 +357,50 @@ def check_condition(p: ModelParams, which: str,
         r_lo = r_grid[max(j - 1, 0)]
         r_hi = r_grid[min(j + 1, len(r_grid) - 1)]
         r_best, sup_r = golden_max(lambda R: condition_F(R, p, dd),
-                                   r_lo, r_hi, tol=sc.refine_tol)
+                                   r_lo, r_hi, tol=_REFINE_TOL)
         jj = int(np.searchsorted(d2_grid, d2_best))
         d_lo = d2_grid[max(jj - 1, 0)]
         d_hi = d2_grid[min(jj + 1, len(d2_grid) - 1)]
         d2_best, sup = golden_max(
             lambda d2: condition_F(r_best, p, DeltaPair.from_delta2(d2, p.gamma)),
-            d_lo, d_hi, tol=sc.refine_tol)
+            d_lo, d_hi, tol=_REFINE_TOL)
         sup = max(sup, sup_r)
-    sup = max(sup, best[0])
-    deltas = DeltaPair.from_delta2(d2_best, p.gamma)
-    ok = sup > 0.0
-    return ConditionReport(condition="I", satisfied=ok,
-                           witness_R=r_best if ok else None,
+    return max(sup, best[0]), DeltaPair.from_delta2(d2_best, p.gamma), r_best
+
+
+def check_condition(p: ModelParams, which: str) -> ConditionReport:
+    """Find the supremum of condition I or II over delta2 in (0, 2*gamma-1)
+    and R >= epsilon; I holds when it is positive, II when non-negative.
+
+    G peaks at R0 = 1/delta2, so unless epsilon > 1/delta2* the sup of II
+    is at delta2_star's maximizer (clamped into the open interval): II
+    holds exactly when beta <= beta_max(sigma, gamma).
+    """
+    _require_gamma(p.gamma)
+    if which not in ("I", "II"):
+        raise ConfigError(f"condition must be 'I' or 'II', got {which!r}")
+    d2_hi = 2.0 * p.gamma - 1.0
+    if which == "I":
+        sup, deltas, R = _sup_condition_i(p, d2_hi)
+        ok = sup > 0.0
+    else:
+        def margin(x: float) -> float:
+            d = DeltaPair.from_delta2(x, p.gamma)
+            return condition_G(max(1.0 / x, p.epsilon), d) - _a_const(p, d)
+
+        # delta2* is 0 for sigma >= sqrt(2) and can be 2*gamma-1 exactly
+        d2 = min(max(delta2_star(p.sigma, p.gamma)[0], _D2_MIN),
+                 d2_hi * _D2_TOP)
+        if p.epsilon * d2 > 1.0:
+            # G peaks below epsilon: the sup is on R = epsilon, unimodal
+            d2 = golden_max(margin, 1.0 / p.epsilon, d2_hi * _D2_TOP,
+                            tol=_REFINE_TOL)[0]
+        sup = margin(d2)
+        deltas = DeltaPair.from_delta2(d2, p.gamma)
+        R = max(1.0 / d2, p.epsilon)
+        ok = sup >= 0.0
+    return ConditionReport(condition=which, satisfied=ok,
+                           witness_R=R if ok else None,
                            witness_deltas=deltas if ok else None,
                            sup_value=float(sup))
 
@@ -519,10 +513,8 @@ def _spec_from_ab(p: ModelParams, d: DeltaPair, R: float,
 
 def _spec_from_ratio(p: ModelParams, d: DeltaPair, R: float,
                      c2_over_c3: float) -> LyapunovSpec:
-    c3 = 1.0
-    c2 = c2_over_c3
-    return LyapunovSpec(c1=c2 + c3, c2=c2, c3=c3, deltas=d, R=R,
-                        C=_c_growth(p, d))
+    return LyapunovSpec(c1=c2_over_c3 + 1.0, c2=c2_over_c3, c3=1.0, deltas=d,
+                        R=R, C=_c_growth(p, d))
 
 
 def lyapunov_field(spec: LyapunovSpec) -> SmoothField:
@@ -587,57 +579,43 @@ def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
     )
 
 
-def _min_slack(p: ModelParams, spec: LyapunovSpec, n: int) -> float:
-    rep = verify_generator_inequality(
-        spec, p, VerifyGrid(n=n, face_points=max(20, n // 4)))
-    return rep.min_slack
+def _witness_wedge_spec(p: ModelParams, report: ConditionReport):
+    """The midpoint-slope spec of the wedge at the witness, or None."""
+    d, R = report.witness_deltas, report.witness_R
+    if d is None or R is None:
+        return None
+    R = max(R, p.epsilon)
+    w = wedge_feasible_slopes(R, p, d)
+    if not (w.nonempty and w.slope_lo <= w.slope_hi):
+        return None
+    return _spec_from_ab(p, d, R, 1.0, math.sqrt(w.slope_lo * w.slope_hi))
 
 
 def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     """Construct certificate constants from a satisfied condition report.
 
-    Preference order: (1) the wedge at the witness (deltas, R), using the
-    geometric midpoint slope with a normalized to 1; (2) the best wedge
-    found on a (delta2, R) grid; (3) direct choice of C2/C3 maximizing the
-    minimum generator slack at candidate (delta2, R) pairs, for parameter
-    regions where condition II holds but no wedge exists. Raises
-    InfeasibleWedge when even the direct construction fails to produce a
-    non-negative slack.
+    Preference order: (1) the wedge at the report's witness, else at the
+    witness of check_condition(p, "I"): the wedge band is non-empty exactly
+    where F(R) >= 0, so condition I's witness finds a wedge whenever one
+    exists; (2) direct choice of C2/C3 maximizing the minimum generator
+    slack at candidate (delta2, R) pairs, for parameter regions where
+    condition II holds but no wedge exists. Raises InfeasibleWedge when
+    even the direct construction fails to produce a non-negative slack.
     """
     if not report.satisfied:
         raise InfeasibleWedge("condition report is not satisfied")
     gamma = p.gamma
     _require_gamma(gamma)
 
-    def from_wedge(d: DeltaPair, R: float, w: WedgeSlopes) -> LyapunovSpec:
-        s_mid = math.sqrt(w.slope_lo * w.slope_hi)
-        return _spec_from_ab(p, d, R, 1.0, s_mid)
+    # (1) wedge at a witness
+    spec = _witness_wedge_spec(p, report)
+    if spec is None and report.condition != "I":
+        spec = _witness_wedge_spec(p, check_condition(p, "I"))
+    if spec is not None:
+        return spec
 
-    # (1) wedge at the witness
-    if report.witness_deltas is not None and report.witness_R is not None:
-        d = report.witness_deltas
-        R = max(report.witness_R, p.epsilon)
-        w = wedge_feasible_slopes(R, p, d)
-        if w.nonempty and w.slope_lo is not None and w.slope_hi is not None \
-                and w.slope_lo <= w.slope_hi:
-            return from_wedge(d, R, w)
-
-    # (2) grid search for any wedge, maximizing the slope-band width
-    best = None
+    # (2) direct slack maximization over C2/C3
     d2_hi = 2.0 * gamma - 1.0
-    for d2 in np.geomspace(1e-3, d2_hi * (1.0 - 1e-9), 60):
-        d = DeltaPair.from_delta2(float(d2), gamma)
-        for R in np.geomspace(p.epsilon, 1e4, 80):
-            w = wedge_feasible_slopes(float(R), p, d)
-            if w.nonempty and w.slope_lo is not None and w.slope_hi is not None \
-                    and w.slope_hi > w.slope_lo > 0.0:
-                width = math.log(w.slope_hi / w.slope_lo)
-                if best is None or width > best[0]:
-                    best = (width, d, float(R), w)
-    if best is not None:
-        return from_wedge(best[1], best[2], best[3])
-
-    # (3) direct slack maximization over C2/C3
     candidates: list[tuple[DeltaPair, float]] = []
 
     def add(d2: float) -> None:
@@ -646,20 +624,21 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
             if d.delta1 > 1e-6:
                 candidates.append((d, max(1.0 / d2, p.epsilon)))
 
-    if report.witness_deltas is not None:
-        wd = report.witness_deltas
-        if wd.delta1 > 1e-6:
-            candidates.append((wd, max(report.witness_R or 1.0 / wd.delta2,
-                                       p.epsilon)))
+    wd = report.witness_deltas
+    if wd is not None and wd.delta1 > 1e-6:
+        candidates.append((wd, max(report.witness_R or 1.0 / wd.delta2,
+                                   p.epsilon)))
     add(math.sqrt(2.0 * gamma) - 1.0)  # symmetric split delta1 = delta2
     for f in (0.25, 0.5, 0.75):
         add(f * d2_hi)
 
     best_spec = None
     best_val = -math.inf
+    coarse = VerifyGrid(n=60, face_points=20)
     for d, R in candidates:
         def slack_of(log_t: float, d=d, R=R) -> float:
-            return _min_slack(p, _spec_from_ratio(p, d, R, math.exp(log_t)), 60)
+            spec = _spec_from_ratio(p, d, R, math.exp(log_t))
+            return verify_generator_inequality(spec, p, coarse).min_slack
 
         lt, val = golden_max(slack_of, math.log(1e-6), math.log(1e6), tol=1e-6)
         if val > best_val:

@@ -107,6 +107,8 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     ("ode", "ode", {"horizon": "x"}),
     ("price", "price", 3),
     ("simulate", "sim", dict(SIM, n_paths=2.5)),
+    ("price", "price", {"T": 0.5, "delta": 0.25, "discount_check": "false"}),
+    ("verify", "verify", {"R": 1e6}),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,

@@ -125,6 +125,36 @@ class TestCheckCondition:
         assert not rep.satisfied
         assert rep.sup_value < 0.0
 
+    @pytest.mark.parametrize("epsilon", [0.01, 0.5])
+    @pytest.mark.parametrize("sigma", [0.1, 0.4, 0.9, 1.3, 1.5])
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 1.0])
+    def test_condition_ii_is_beta_below_beta_max(self, gamma, sigma,
+                                                  epsilon):
+        bmax = q.beta_max(sigma, gamma)
+        betas = [b for b in [*np.linspace(0.0, 0.3, 13), bmax - 1e-6,
+                             bmax + 1e-6]
+                 if b >= 0.0 and abs(b - bmax) > 1e-9]
+        for beta in betas:
+            p = params(sigma=sigma, beta=float(beta), gamma=gamma,
+                       epsilon=epsilon, lambda0=1.0)
+            assert q.check_condition(p, "II").satisfied == (beta <= bmax)
+
+    def test_condition_ii_when_g_peaks_below_epsilon(self):
+        # epsilon > 1/delta2*: the sup lies on R = epsilon, off delta2*
+        sigma, eps = 0.3, 5.0
+        d2s = np.linspace(1e-4, 1.0 - 1e-9, 4001)
+        for beta in (0.0, 0.06, 0.08):
+            brute = max(q.condition_G(max(1.0 / d, eps),
+                                      q.DeltaPair.from_delta2(d, 1.0))
+                        - 2 * beta - 0.5 * sigma ** 2 * d * (d + 1)
+                        for d in d2s)
+            p = params(sigma=sigma, beta=beta, epsilon=eps, lambda0=6.0)
+            rep = q.check_condition(p, "II")
+            assert rep.sup_value == pytest.approx(brute, abs=1e-6)
+            assert rep.satisfied == (brute >= 0.0)
+            if rep.satisfied:
+                assert rep.witness_R == eps
+
     def test_condition_i_at_zero_beta(self):
         rep = q.check_condition(params(beta=0.0), "I")
         assert rep.satisfied
@@ -403,6 +433,22 @@ class TestBuildAndVerify:
         # the construction sits inside a certified wedge here
         w = q.wedge_feasible_slopes(spec.R, p, spec.deltas)
         assert w.nonempty
+
+    @pytest.mark.parametrize("sigma, gamma, beta", [
+        (0.2, 1.0, 0.0), (0.2, 1.0, 0.01), (0.2, 1.0, 0.02),
+        (0.5, 0.9, 0.0), (0.3, 0.75, 0.0)])
+    def test_condition_i_wedge_when_witness_wedge_empty(self, sigma, gamma,
+                                                         beta):
+        p = params(sigma=sigma, gamma=gamma, beta=beta)
+        rep = q.check_condition(p, "II")
+        w = q.wedge_feasible_slopes(rep.witness_R, p, rep.witness_deltas)
+        assert not w.nonempty
+        spec = q.build_lyapunov(p, rep)
+        rep_i = q.check_condition(p, "I")
+        assert (spec.deltas, spec.R) == (rep_i.witness_deltas,
+                                         rep_i.witness_R)
+        assert q.wedge_feasible_slopes(spec.R, p, spec.deltas).nonempty
+        assert q.verify_generator_inequality(spec, p).violations == 0
 
     def test_unsatisfied_report_rejected(self):
         p = params(beta=1.0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qghjm import (DomainError, ForwardCurve, ModelParams, UnsupportedGamma,
-                   beta_critical, drift, fixed_point_r, ode_integrate)
+from qghjm import (DomainError, ForwardCurve, ModelParams, SimConfig,
+                   UnsupportedGamma, beta_critical, drift, fixed_point_r,
+                   ode_integrate, simulate_batch)
 from qghjm.model_core import State
 
 FLAT = ForwardCurve.flat(0.1)
@@ -64,6 +65,18 @@ class TestBlowup:
                 texp[i, j] = res.t_exp
         assert np.all(np.diff(texp, axis=0) < 0)  # larger sigma: earlier
         assert np.all(np.diff(texp, axis=1) > 0)  # larger beta: later
+
+    def test_vol_cap_stops_the_blowup(self):
+        # the capped volatility grows y by at most vol_cap^2 per year, so
+        # r stays finite over the horizon, as on the Euler paths
+        p = params(vol_cap=0.05)
+        res = ode_integrate(p, FLAT, 100.0)
+        assert not res.exploded
+        assert res.t_exp == math.inf
+        assert 0.0 < res.terminal[1] <= 0.05 ** 2 * 100.0
+        batch = simulate_batch(p, FLAT, SimConfig(dt=0.01, horizon=100.0,
+                                                  n_paths=50, seed=1))
+        assert not batch.exploded.any()
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(UnsupportedGamma):
