@@ -16,8 +16,8 @@ from .explosion_criteria import (A5Report, ConditionReport, DeltaPair,
                                  region_curve, scale_c3, verify_a5_function,
                                  verify_generator_inequality,
                                  wedge_feasible_slopes)
-from .model_core import (ForwardCurve, ModelParams, SmoothField, State,
-                         diffusion, drift, generator_apply, sigma_r)
+from .model_core import (ForwardCurve, ModelParams, SmoothField, coefficients,
+                         generator_apply, sigma_r)
 from .ode_limit import OdeResult, beta_critical, fixed_point_r, ode_integrate
 from .pricing import (discount_consistency_check, discount_estimate,
                       eurodollar_futures, futures_config, futures_estimate,

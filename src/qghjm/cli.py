@@ -90,21 +90,24 @@ def _setup(args, *needs: str) -> list:
     """Load the config of args.command, which needs the given sections.
 
     Returns [raw config, then the parsed model, curve and sim among needs,
-    in the order given], applies --seed to the sim settings and creates the
+    in the order given], applies --seed to the sim settings, rejects a
+    curve whose lambda(0) differs from the model's lambda0 and creates the
     output directory.
     """
     raw = _load_config(args.config, args.command, set(needs))
-    out: list = [raw]
+    parsed = {}
     for key in needs:
-        if key not in _PARSERS:
-            continue
-        with _reading(key):
-            obj = _PARSERS[key].from_json(raw[key])
-        if key == "sim" and args.seed is not None:
-            obj = replace(obj, seed=args.seed)
-        out.append(obj)
+        if key in _PARSERS:
+            with _reading(key):
+                parsed[key] = _PARSERS[key].from_json(raw[key])
+    if "sim" in parsed and args.seed is not None:
+        parsed["sim"] = replace(parsed["sim"], seed=args.seed)
+    p, curve = parsed.get("model"), parsed.get("curve")
+    if p is not None and curve is not None and curve.lambda0 != p.lambda0:
+        raise _fail_config(f"curve: lambda(0) = {curve.lambda0} differs "
+                           f"from the model's lambda0 = {p.lambda0}")
     os.makedirs(args.out, exist_ok=True)
-    return out
+    return [raw, *parsed.values()]
 
 
 def _json_safe(x):
@@ -257,7 +260,10 @@ def cmd_ode(args) -> int:
         raise _fail_config(str(e))
     with open(os.path.join(args.out, "ode_trace.csv"), "w") as fh:
         write_rows(fh, "t,r,y", res.trace)
-    bc = ode_limit.beta_critical(p)
+    # the closed forms hold for a flat, uncapped, undisplaced model only
+    closed = (p.vol_cap is None and p.displacement == 0.0
+              and curve.to_json()["kind"] == "flat")
+    bc = ode_limit.beta_critical(p) if closed else None
     out = {
         "config": {"model": p.to_json(), "curve": curve.to_json(),
                    "ode": {"horizon": horizon, "tol": tol,
@@ -267,7 +273,8 @@ def cmd_ode(args) -> int:
         "terminal": None if res.terminal is None else
             {"r": res.terminal[0], "y": res.terminal[1]},
         "beta_critical": bc,
-        "fixed_point_r": ode_limit.fixed_point_r(p) if p.beta >= bc else None,
+        "fixed_point_r": (ode_limit.fixed_point_r(p)
+                          if closed and p.beta >= bc else None),
     }
     _write_json(os.path.join(args.out, "ode.json"), out)
     return 0

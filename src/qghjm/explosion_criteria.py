@@ -57,7 +57,7 @@ import numpy as np
 from ._csv import write_rows
 from ._search import golden_max
 from .errors import ConfigError, DomainError, GammaOutOfRange, InfeasibleWedge
-from .model_core import ModelParams, SmoothField, State, generator_apply
+from .model_core import ModelParams, SmoothField, generator_apply
 
 __all__ = [
     "DeltaPair",
@@ -97,6 +97,9 @@ _D2_TOP = 1.0 - 1e-9
 _R_MAX = 1e4
 _N_GRID = 400
 _REFINE_TOL = 1e-10
+_L_OVER_R = 10.0
+_FLOOR = 1e-6
+_FACE_OFFSET = 1e-6
 
 
 def _require_gamma(gamma: float) -> None:
@@ -217,15 +220,13 @@ class WedgeSlopes:
 
 @dataclass(frozen=True)
 class VerifyGrid:
-    """Verification grid: n x n log-spaced points on (0, l_over_r * R]^2
-    outside the open square, plus face_points hugging each face of the
-    square boundary at relative offset face_offset."""
+    """Verification grid: n x n log-spaced points on
+    [_FLOOR * R, _L_OVER_R * R]^2 outside the open square, plus face_points
+    hugging each face of the square boundary at relative offset
+    _FACE_OFFSET."""
 
     n: int = 200
-    l_over_r: float = 10.0
     face_points: int = 100
-    face_offset: float = 1e-6
-    floor: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -540,14 +541,14 @@ def a5_field() -> SmoothField:
 
 
 def _exterior_grid(R: float, grid: VerifyGrid) -> tuple[np.ndarray, np.ndarray]:
-    g = np.geomspace(R * grid.floor, R * grid.l_over_r, grid.n)
+    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, grid.n)
     rr, yy = np.meshgrid(g, g)
     keep = (rr >= R) | (yy >= R)
     r = rr[keep]
     y = yy[keep]
-    s = np.linspace(R * grid.floor, R, grid.face_points)
+    s = np.linspace(R * _FLOOR, R, grid.face_points)
     face = np.full(grid.face_points, R)
-    off = np.full(grid.face_points, R * (1.0 + grid.face_offset))
+    off = np.full(grid.face_points, R * (1.0 + _FACE_OFFSET))
     r = np.concatenate([r, face, s, off, s])
     y = np.concatenate([y, s, face, s, off])
     return r, y
@@ -568,7 +569,7 @@ def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
     gr = grid or VerifyGrid()
     r, y = _exterior_grid(spec.R, gr)
     field = lyapunov_field(spec)
-    lv = generator_apply(field, State(r=r, y=y, t=0.0), p)
+    lv = generator_apply(field, r, y, p)
     slack = lv - spec.C * field.value(r, y)
     i = int(np.argmin(slack))
     return VerificationReport(
@@ -710,7 +711,7 @@ def as_explosion_r0_threshold(R: float, p: ModelParams) -> R0Threshold:
 def verify_a5_function(p: ModelParams, R: float,
                        grid: Optional[VerifyGrid] = None) -> A5Report:
     """Evaluate L V0 for V0 = exp(-r) + exp(-y) over the strip complement
-    {0 < y < 2R or 0 < r < 2R}, truncated at l_over_r * R.
+    {0 < y < 2R or 0 < r < 2R}, truncated at _L_OVER_R * R.
 
     With beta > 0 and lambda0 at or above the almost-sure threshold the
     maximum is negative; small lambda0 produces positive spots.
@@ -720,12 +721,12 @@ def verify_a5_function(p: ModelParams, R: float,
     if not R > 0.0:
         raise DomainError("R must be positive")
     gr = grid or VerifyGrid()
-    g = np.geomspace(R * gr.floor, R * gr.l_over_r, gr.n)
+    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, gr.n)
     rr, yy = np.meshgrid(g, g)
     keep = (rr < 2.0 * R) | (yy < 2.0 * R)
     r = rr[keep]
     y = yy[keep]
-    vals = generator_apply(a5_field(), State(r=r, y=y, t=0.0), p)
+    vals = generator_apply(a5_field(), r, y, p)
     i = int(np.argmax(vals))
     return A5Report(max_value=float(vals[i]),
                     argmax=(float(r[i]), float(y[i])), n_points=len(vals))

@@ -1,5 +1,5 @@
-"""Model primitives: parameters, volatility function, forward curve, state,
-drift/diffusion fields, and the infinitesimal generator.
+"""Model primitives: parameters, volatility function, forward curve, the
+coefficients of the (r, y) system, and the infinitesimal generator.
 
 The model evolves the pair (r, y) where r is the short rate and y is an
 auxiliary convexity state with units of rate squared:
@@ -7,9 +7,11 @@ auxiliary convexity state with units of rate squared:
     dr = (y - beta*r + beta*lambda(t) + lambda'(t)) dt + sigma_r(r) dW
     dy = (sigma_r(r)^2 - 2*beta*y) dt
 
-started from r(0) = lambda(0), y(0) = 0. The short-rate volatility is a CEV
-power law regularized below a cutoff level epsilon, where it switches to
-log-normal scaling:
+started from r(0) = lambda(0), y(0) = 0. coefficients() is the one
+definition of these drifts and of the diffusion; the Euler step, the
+small-noise ODE and the generator all evaluate it. The short-rate
+volatility is a CEV power law regularized below a cutoff level epsilon,
+where it switches to log-normal scaling:
 
     sigma_r(x) = sigma * x * min(x^(gamma-1), epsilon^(gamma-1)),
 
@@ -24,7 +26,6 @@ Units: time in years, rates as absolute decimals (0.1 means 10%).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,11 +36,9 @@ from .errors import ConfigError
 __all__ = [
     "ModelParams",
     "ForwardCurve",
-    "State",
     "SmoothField",
     "sigma_r",
-    "drift",
-    "diffusion",
+    "coefficients",
     "generator_apply",
 ]
 
@@ -237,22 +236,6 @@ class ForwardCurve:
             return cls.tabulated(obj["knots"])
         raise ConfigError(f"curve kind must be 'flat' or 'tabulated', got {kind!r}")
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "ForwardCurve":
-        return cls.from_json(json.loads(s))
-
-
-@dataclass(frozen=True)
-class State:
-    """Point state of the simulation: short rate r, convexity y, time t."""
-
-    r: float
-    y: float
-    t: float
-
 
 @dataclass(frozen=True)
 class SmoothField:
@@ -286,37 +269,31 @@ def sigma_r(x, p: ModelParams):
     return float(v) if np.ndim(x) == 0 else v
 
 
-def drift(s: State, p: ModelParams, curve: ForwardCurve):
-    """Drift of (r, y): (y - beta*r + beta*lambda(t) + lambda'(t),
-    sigma_r(r)^2 - 2*beta*y)."""
-    lam, dlam = curve.rate_and_slope(s.t)
-    dr_dt = s.y - p.beta * s.r + p.beta * lam + dlam
-    sr = sigma_r(s.r, p)
-    dy_dt = sr * sr - 2.0 * p.beta * s.y
-    return dr_dt, dy_dt
+def coefficients(r, y, lam, dlam, p: ModelParams):
+    """Coefficients (mu_r, mu_y, sr) of the (r, y) system, where
+
+        dr = mu_r dt + sr dW,  mu_r = y - beta*r + beta*lam + dlam,
+        dy = mu_y dt,          mu_y = sr^2 - 2*beta*y,
+
+    sr = sigma_r(r), and lam, dlam are the curve value lambda(t) and slope
+    lambda'(t). Accepts scalars or arrays.
+    """
+    sr = sigma_r(r, p)
+    return (y - p.beta * r + p.beta * lam + dlam,
+            sr * sr - 2.0 * p.beta * y, sr)
 
 
-def diffusion(s: State, p: ModelParams):
-    """Diffusion coefficient of r (y carries no noise)."""
-    return sigma_r(s.r, p)
-
-
-def generator_apply(field: SmoothField, s: State, p: ModelParams):
+def generator_apply(field: SmoothField, r, y, p: ModelParams):
     """Apply the infinitesimal generator of the flat-curve diffusion to V.
 
     Returns
 
-        (sigma_r(r)^2 - 2*beta*y) dV/dy
-        + (y - beta*r + beta*lambda0) dV/dr
-        + (1/2) sigma_r(r)^2 d2V/dr2
+        mu_y dV/dy + mu_r dV/dr + (1/2) sr^2 d2V/dr2
 
-    evaluated with the supplied analytic partials; no finite differencing.
-    Only the time-homogeneous (flat-curve) generator is exposed, with
-    beta*lambda0 taken from the parameters.
+    with the coefficients at lambda = lambda0 and lambda' = 0, evaluated
+    with the supplied analytic partials; no finite differencing. Only the
+    time-homogeneous (flat-curve) generator is exposed.
     """
-    r, y = s.r, s.y
-    sr = sigma_r(r, p)
-    a2 = sr * sr
-    return ((a2 - 2.0 * p.beta * y) * field.d_y(r, y)
-            + (y - p.beta * r + p.beta * p.lambda0) * field.d_r(r, y)
-            + 0.5 * a2 * field.d_rr(r, y))
+    mu_r, mu_y, sr = coefficients(r, y, p.lambda0, 0.0, p)
+    return (mu_y * field.d_y(r, y) + mu_r * field.d_r(r, y)
+            + 0.5 * (sr * sr) * field.d_rr(r, y))

@@ -5,10 +5,11 @@ Dropping the Brownian term leaves the planar system
     r'(t) = y(t) - beta*r(t) + beta*lambda(t) + lambda'(t)
     y'(t) = sigma^2 r(t)^2 - 2*beta*y(t)
 
-from (lambda(0), 0), sigma*r being the model's sigma_r (0 for r <= 0,
-capped at vol_cap). Uncapped, on a flat curve the solution blows up in
-finite time when beta < beta_C = sigma*sqrt(2*lambda0) and otherwise
-converges to the stable rate
+from (lambda(0), 0): the drifts of model_core.coefficients, sigma*r
+being the model's sigma_r (0 for r <= 0, capped at vol_cap). Uncapped,
+on a flat curve the solution blows up in finite time when
+beta < beta_C = sigma*sqrt(2*lambda0) and otherwise converges to the
+stable rate
 (beta^2/sigma^2) * (1 - sqrt(1 - 2*sigma^2*lambda0/beta^2)). The limit is
 only defined for gamma = 1; other exponents are rejected.
 """
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UnsupportedGamma
-from .model_core import ForwardCurve, ModelParams, sigma_r
+from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = ["OdeResult", "ode_integrate", "beta_critical", "fixed_point_r"]
 
@@ -64,14 +65,11 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
     shift = p.displacement
     p0 = replace(p, displacement=0.0)
     crv = curve.shifted(shift)
-    beta = p.beta
     r0 = crv.lambda0
 
     def rhs(t, z):
-        r, y = z
         lam, dlam = crv.rate_and_slope(t)
-        sr = sigma_r(r, p0)
-        return (y - beta * r + beta * lam + dlam, sr * sr - 2.0 * beta * y)
+        return coefficients(z[0], z[1], lam, dlam, p0)[:2]
 
     x_hi = float(blowup_threshold)
     x_lo = x_hi / 100.0

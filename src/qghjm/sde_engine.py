@@ -15,13 +15,13 @@ Kernel
 simulate_batch runs each contiguous chunk of the batch (one per thread)
 on its live paths only: r, y and the discount sum are arrays over them,
 and cols holds their columns in the chunk. A step reads its normals as
-noise[j, cols] from a step-major block of 1024 steps, and the volatility
-is model_core.sigma_r of the shifted rate (the displacement moves into
-the curve and is taken off every emitted r). A path stops at the first
-step whose update gives r or y at or above the explosion threshold, or a
-non-finite value: tau_hat is the left edge of that step (bias at most
-dt), the path keeps its last good state, and the live arrays are
-compacted on that step only.
+noise[j, cols] from a step-major block of 1024 steps and takes its drifts
+and volatility from model_core.coefficients at the shifted rate on the
+shifted curve (the displacement moves into the curve and is taken off
+every emitted r). A path stops at the first step whose update gives r or
+y at or above the explosion threshold, or a non-finite value: tau_hat is
+the left edge of that step (bias at most dt), the path keeps its last
+good state, and the live arrays are compacted on that step only.
 
 Estimators work on arrays: a payoff maps the terminal-state arrays
 (r_T, y_T) of the surviving paths to their values, and one helper gives
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO
@@ -41,7 +40,7 @@ import numpy as np
 
 from ._csv import write_rows
 from .errors import ConfigError, EmptySample, as_int
-from .model_core import ForwardCurve, ModelParams, sigma_r
+from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = [
     "SimConfig",
@@ -186,7 +185,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
     Paths are embarrassingly parallel; with threads > 1 they are split into
     contiguous chunks whose results land in disjoint slices, so the output
-    is independent of scheduling.
+    is independent of scheduling. threads None means one thread.
     """
     n_steps = int(round(cfg.horizon / cfg.dt))
     if not cfg.explosion_threshold >= 10.0 * p.lambda0:
@@ -206,7 +205,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     p0 = replace(p, displacement=0.0)
     crv = curve.shifted(shift)
     lam, dlam = crv.rate_and_slope(cfg.dt * np.arange(n_steps))
-    beta, dt, sqrt_dt = p.beta, cfg.dt, math.sqrt(cfg.dt)
+    dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
     thr, stride = cfg.explosion_threshold, cfg.record_stride
 
     tau, term_r, term_y = np.full(n, np.inf), np.empty(n), np.empty(n)
@@ -240,10 +239,9 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                     ry_c[k // stride, cols] = y
                 if disc is not None:
                     disc += (r - shift) * dt
-                sr = sigma_r(r, p0)
-                rn = r + (y - beta * r + beta * lam[k] + dlam[k]) * dt \
-                    + sr * sqrt_dt * noise[k - k0, cols]
-                yn = np.maximum(y + (sr * sr - 2.0 * beta * y) * dt, 0.0)
+                mu_r, mu_y, sr = coefficients(r, y, lam[k], dlam[k], p0)
+                rn = r + mu_r * dt + sr * sqrt_dt * noise[k - k0, cols]
+                yn = np.maximum(y + mu_y * dt, 0.0)
                 # rn, yn finite and below thr (yn is never -inf)
                 ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
                 if ok.all():
@@ -268,9 +266,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         if disc is not None:
             ld_c[cols] = disc
 
-    if threads is None:
-        threads = os.environ.get("QGHJM_THREADS") or 1
-    nthreads = max(1, int(threads))
+    nthreads = max(1, int(threads or 1))
     if nthreads == 1 or n < 2 * nthreads:
         run(0, n)
     else:

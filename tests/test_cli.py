@@ -204,6 +204,25 @@ class TestOde:
         assert data["terminal"]["r"] == pytest.approx(data["fixed_point_r"],
                                                       rel=1e-6)
 
+    @pytest.mark.parametrize("model, curve, r_end", [
+        ({"vol_cap": 0.01}, CURVE, 0.10222),
+        ({"displacement": 0.02}, CURVE, 0.11658),
+        ({}, {"kind": "tabulated", "knots": [[0, 0.1], [10, 0.12]]}, 0.13658),
+    ], ids=["vol_cap", "displacement", "tabulated"])
+    def test_closed_forms_null_off_the_flat_model(self, tmp_path, model,
+                                                  curve, r_end):
+        # the flat, uncapped, undisplaced fixed point 0.11094 is not where
+        # these runs end, so ode.json gives neither closed form
+        cfg = write_config(tmp_path / "o.json", {
+            "model": dict(MODEL, beta=0.15, **model), "curve": curve,
+            "ode": {"horizon": 2000.0}})
+        out = tmp_path / "out"
+        assert main(["ode", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / "ode.json").read_text())
+        assert data["terminal"]["r"] == pytest.approx(r_end, abs=1e-5)
+        assert data["beta_critical"] is None
+        assert data["fixed_point_r"] is None
+
     def test_gamma_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "o.json", {
             "model": dict(MODEL, gamma=0.8), "curve": CURVE,
@@ -212,7 +231,29 @@ class TestOde:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", {}),
+    ("ode", {"ode": {"horizon": 10.0}}),
+    ("price", {"price": {"T": 1.0, "delta": 0.5}}),
+])
+def test_second_lambda0_exits_2(tmp_path, capsys, command, extra):
+    cfg = write_config(tmp_path / "c.json", {
+        "model": MODEL, "curve": {"kind": "flat", "lambda0": 0.3},
+        "sim": {"dt": 0.01, "horizon": 2.0, "n_paths": 10, "seed": 1},
+        **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: curve: ")
+
+
 class TestImport:
+    @pytest.mark.parametrize("module", ["model_core", "sde_engine",
+                                        "ode_limit", "explosion_criteria",
+                                        "pricing"])
+    def test_every_exported_name_resolves(self, module):
+        mod = getattr(qghjm, module)
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == []
+
     def test_cli_import_leaves_scipy_integrate_out(self):
         code = ("import sys, qghjm.cli; "
                 "print('scipy.integrate' in sys.modules)")

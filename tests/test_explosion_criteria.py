@@ -471,7 +471,7 @@ class TestBuildAndVerify:
         g = np.geomspace(2 * R, 50 * R, 60)
         rr, yy = np.meshgrid(g, g)
         field = q.explosion_criteria.lyapunov_field(spec)
-        lv = q.generator_apply(field, q.State(r=rr, y=yy, t=0.0), p)
+        lv = q.generator_apply(field, rr, yy, p)
         slack = lv - spec.C * field.value(rr, yy)
         assert slack.min() >= bound - 1e-10
 

@@ -1,5 +1,6 @@
 """Tests for parameters, the volatility function, curves, and the generator."""
 
+import json
 import math
 
 import mpmath as mp
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qghjm import (ConfigError, ForwardCurve, ModelParams, SmoothField, State,
-                   diffusion, drift, generator_apply, sigma_r)
+from qghjm import (ConfigError, ForwardCurve, ModelParams, SmoothField,
+                   coefficients, generator_apply, sigma_r)
 
 
 def params(**kw):
@@ -158,9 +159,10 @@ class TestForwardCurve:
 
     def test_json_round_trip(self):
         flat = ForwardCurve.flat(0.1)
-        assert ForwardCurve.loads(flat.dumps()).to_json() == flat.to_json()
+        back = ForwardCurve.from_json(json.loads(json.dumps(flat.to_json())))
+        assert back.to_json() == flat.to_json()
         tab = ForwardCurve.tabulated([[0.0, 0.1], [3.0, 0.2]])
-        back = ForwardCurve.loads(tab.dumps())
+        back = ForwardCurve.from_json(json.loads(json.dumps(tab.to_json())))
         assert back.to_json() == tab.to_json()
         with pytest.raises(ConfigError):
             ForwardCurve.from_json({"kind": "spline"})
@@ -189,39 +191,40 @@ class TestForwardCurve:
         assert sh.slope(1.0) == pytest.approx(tab.slope(1.0))
 
 
+def drift(r, y, t, p, curve):
+    """(mu_r, mu_y) of the (r, y) system at time t on the curve."""
+    lam, dlam = curve.rate_and_slope(t)
+    return coefficients(r, y, lam, dlam, p)[:2]
+
+
 class TestDrift:
     def test_initial_cancellation(self):
         p = params(beta=0.3)
         curve = ForwardCurve.flat(p.lambda0)
-        dr, dy = drift(State(r=p.lambda0, y=0.0, t=0.0), p, curve)
+        dr, dy = drift(p.lambda0, 0.0, 0.0, p, curve)
         assert dr == pytest.approx(0.0, abs=1e-18)
         assert dy == pytest.approx(sigma_r(p.lambda0, p) ** 2, rel=1e-15)
 
     def test_zero_beta(self):
         p = params(beta=0.0)
         curve = ForwardCurve.flat(p.lambda0)
-        dr, dy = drift(State(r=0.3, y=0.07, t=1.0), p, curve)
+        dr, dy = drift(0.3, 0.07, 1.0, p, curve)
         assert dr == pytest.approx(0.07)
         assert dy == pytest.approx(sigma_r(0.3, p) ** 2)
 
     def test_hand_arithmetic(self):
         p = params(beta=0.05)
         curve = ForwardCurve.flat(0.1)
-        dr, dy = drift(State(r=0.2, y=0.01, t=0.0), p, curve)
+        dr, dy = drift(0.2, 0.01, 0.0, p, curve)
         assert dr == pytest.approx(0.005, rel=1e-12)
         assert dy == pytest.approx(0.0006, rel=1e-12)
 
     def test_time_dependent_curve(self):
         p = params(beta=0.1)
         curve = ForwardCurve.tabulated([[0.0, 0.10], [2.0, 0.14]])
-        dr, _ = drift(State(r=0.1, y=0.0, t=1.0), p, curve)
+        dr, _ = drift(0.1, 0.0, 1.0, p, curve)
         # y - beta*r + beta*lam(1) + slope = 0 - 0.01 + 0.012 + 0.02
         assert dr == pytest.approx(0.022, rel=1e-12)
-
-    def test_diffusion_delegates(self):
-        p = params(gamma=0.5)
-        s = State(r=0.04, y=0.2, t=0.0)
-        assert diffusion(s, p) == sigma_r(0.04, p)
 
 
 def _expanded_generator(r, y, c2, c3, d1, d2, sigma, beta, r0, gamma, eps):
@@ -255,26 +258,27 @@ class TestGenerator:
                             d_r=lambda r, y: 0.0,
                             d_rr=lambda r, y: 0.0,
                             d_y=lambda r, y: 0.0)
-        assert generator_apply(const, State(r=0.3, y=0.1, t=0.0), p) == 0.0
+        assert generator_apply(const, 0.3, 0.1, p) == 0.0
 
     def test_identity_in_y_matches_drift(self):
+        # V = y yields mu_y, and V = r yields mu_r
         p = params(beta=0.07, gamma=0.8)
-        field = SmoothField(value=lambda r, y: y,
-                            d_r=lambda r, y: 0.0,
-                            d_rr=lambda r, y: 0.0,
-                            d_y=lambda r, y: 1.0)
         curve = ForwardCurve.flat(p.lambda0)
-        for r, y in [(0.1, 0.0), (0.005, 0.3), (2.0, 1.5)]:
-            s = State(r=r, y=y, t=0.0)
-            got = generator_apply(field, s, p)
-            assert got == drift(s, p, curve)[1]
+        for coord in (1, 0):
+            field = SmoothField(value=lambda r, y: (r, y)[coord],
+                                d_r=lambda r, y: float(coord == 0),
+                                d_rr=lambda r, y: 0.0,
+                                d_y=lambda r, y: float(coord == 1))
+            for r, y in [(0.1, 0.0), (0.005, 0.3), (2.0, 1.5)]:
+                got = generator_apply(field, r, y, p)
+                assert got == drift(r, y, 0.0, p, curve)[coord]
 
     def test_lyapunov_sample_point(self):
         # value frozen from the 50-digit expanded-sum evaluation
         p = params(beta=0.0)
         d = math.sqrt(2.0) - 1.0
         field = self.lyapunov_field(2.0, 1.0, 1.0, d, d)
-        got = generator_apply(field, State(r=2.0, y=2.0, t=0.0), p)
+        got = generator_apply(field, 2.0, 2.0, p)
         assert got == pytest.approx(0.18589906685860124, rel=1e-13)
         live = _expanded_generator(2.0, 2.0, 1.0, 1.0, d, d,
                                    p.sigma, p.beta, p.lambda0, p.gamma,
@@ -287,7 +291,7 @@ class TestGenerator:
         d1 = 2 * p.gamma / (1 + d2) - 1
         field = self.lyapunov_field(3.0, 2.0, 1.0, d1, d2)
         for r, y in [(0.005, 0.5), (0.5, 3.0), (4.0, 4.0)]:
-            got = generator_apply(field, State(r=r, y=y, t=0.0), p)
+            got = generator_apply(field, r, y, p)
             live = _expanded_generator(r, y, 2.0, 1.0, d1, d2, p.sigma,
                                        p.beta, p.lambda0, p.gamma, p.epsilon)
             assert got == pytest.approx(live, rel=1e-12)

@@ -8,9 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from qghjm import (DomainError, ForwardCurve, ModelParams, SimConfig,
-                   UnsupportedGamma, beta_critical, drift, fixed_point_r,
-                   ode_integrate, simulate_batch)
-from qghjm.model_core import State
+                   UnsupportedGamma, beta_critical, coefficients,
+                   fixed_point_r, ode_integrate, simulate_batch)
 
 FLAT = ForwardCurve.flat(0.1)
 
@@ -137,7 +136,8 @@ class TestFixedPoint:
         p = params(beta=0.1)
         r_inf = fixed_point_r(p)
         y_inf = p.sigma ** 2 * r_inf ** 2 / (2.0 * p.beta)
-        dr, dy = drift(State(r=r_inf, y=y_inf, t=0.0), p, FLAT)
+        lam, dlam = FLAT.rate_and_slope(0.0)
+        dr, dy, _ = coefficients(r_inf, y_inf, lam, dlam, p)
         assert abs(dr) < 1e-12
         assert abs(dy) < 1e-12
 
