@@ -250,37 +250,54 @@ class SmoothField:
     d_y: Callable
 
 
-def sigma_r(x, p: ModelParams):
+def sigma_r(x, p: ModelParams, out=None):
     """Short-rate volatility sigma * z * min(z^(gamma-1), epsilon^(gamma-1))
     with z = x + displacement.
 
     Full truncation: returns 0 for z <= 0, so negative Euler overshoots see
     zero diffusion and the positive drift restores the state. Continuous at
     z = epsilon, and exactly sigma*z for gamma = 1. When vol_cap is set the
-    result is clipped to [0, vol_cap]. Accepts scalars or arrays.
+    result is clipped to [0, vol_cap]. Accepts scalars or arrays; out, an
+    array shaped like x, receives the result (at gamma = 1 without a cap
+    it is max(sigma*z, 0), the same value for every x but nan).
     """
     z = np.asarray(x, dtype=float) + p.displacement
+    if out is not None and p.gamma == 1.0 and p.vol_cap is None:
+        return np.maximum(np.multiply(z, p.sigma, out=out), 0.0, out=out)
     pos = z > 0.0
     zs = np.where(pos, z, 1.0)
     cut = p.epsilon ** (p.gamma - 1.0)
     v = np.where(pos, p.sigma * z * np.minimum(zs ** (p.gamma - 1.0), cut), 0.0)
     if p.vol_cap is not None:
         v = np.minimum(np.maximum(v, 0.0), p.vol_cap)
+    if out is not None:
+        out[...] = v
+        return out
     return float(v) if np.ndim(x) == 0 else v
 
 
-def coefficients(r, y, lam, dlam, p: ModelParams):
+def coefficients(r, y, lam, dlam, p: ModelParams, out=None):
     """Coefficients (mu_r, mu_y, sr) of the (r, y) system, where
 
         dr = mu_r dt + sr dW,  mu_r = y - beta*r + beta*lam + dlam,
         dy = mu_y dt,          mu_y = sr^2 - 2*beta*y,
 
     sr = sigma_r(r), and lam, dlam are the curve value lambda(t) and slope
-    lambda'(t). Accepts scalars or arrays.
+    lambda'(t). Accepts scalars or arrays; out, three arrays shaped like r,
+    receives the same bits in place.
     """
-    sr = sigma_r(r, p)
-    return (y - p.beta * r + p.beta * lam + dlam,
-            sr * sr - 2.0 * p.beta * y, sr)
+    if out is None:
+        sr = sigma_r(r, p)
+        return (y - p.beta * r + p.beta * lam + dlam,
+                sr * sr - 2.0 * p.beta * y, sr)
+    mu_r, mu_y, sr = out
+    sigma_r(r, p, out=sr)
+    np.multiply(y, 2.0 * p.beta, out=mu_r)  # mu_r is scratch here
+    np.subtract(np.multiply(sr, sr, out=mu_y), mu_r, out=mu_y)
+    np.subtract(y, np.multiply(r, p.beta, out=mu_r), out=mu_r)
+    mu_r += p.beta * lam
+    mu_r += dlam
+    return out
 
 
 def generator_apply(field: SmoothField, r, y, p: ModelParams):

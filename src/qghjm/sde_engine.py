@@ -12,16 +12,19 @@ values reuse the same noise.
 
 Kernel
 ------
-simulate_batch runs each contiguous chunk of the batch (one per thread)
-on its live paths only: r, y and the discount sum are arrays over them,
-and cols holds their columns in the chunk. A step reads its normals as
-noise[j, cols] from a step-major block of 1024 steps and takes its drifts
-and volatility from model_core.coefficients at the shifted rate on the
-shifted curve (the displacement moves into the curve and is taken off
-every emitted r). A path stops at the first step whose update gives r or
-y at or above the explosion threshold, or a non-finite value: tau_hat is
-the left edge of that step (bias at most dt), the path keeps its last
-good state, and the live arrays are compacted on that step only.
+simulate_batch runs contiguous chunks of at most about _CHUNK paths (at
+least one per thread) on their live paths only; cols holds their positions
+in the chunk. One Philox per chunk is re-keyed to (seed, i) for a path's
+first block of 1024 steps, and a uint64 table carries its counter and
+buffer to the next block. A block is step-major, one column per path live
+at its start, so a step reads a row slice until a path dies. The step
+evaluates model_core.coefficients into preallocated buffers (out=, same
+per-element order and bits) at the shifted rate on the shifted curve; the
+displacement is taken off every emitted r. A path stops at the first step
+whose update gives r or y at or above the explosion threshold, or a
+non-finite value: tau_hat is the left edge of that step (bias at most dt),
+the path keeps its last good state, and the live arrays are compacted on
+that step only.
 
 Estimators work on arrays: a payoff maps the terminal-state arrays
 (r_T, y_T) of the surviving paths to their values, and one helper gives
@@ -58,6 +61,8 @@ __all__ = [
 ]
 
 _NOISE_BLOCK = 1024
+_CHUNK = 16384
+_STAGE = 64
 
 
 @dataclass(frozen=True)
@@ -172,26 +177,24 @@ class BatchPaths:
     log_discount: Optional[np.ndarray] = None
 
 
-def _substream(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                    path_indices: Optional[Sequence[int]] = None, *,
                    record: bool = False, want_discount: bool = False,
                    threads: Optional[int] = None) -> BatchPaths:
     """Simulate a batch of paths (default: indices 0 .. n_paths-1).
 
-    Paths are embarrassingly parallel; with threads > 1 they are split into
-    contiguous chunks whose results land in disjoint slices, so the output
-    is independent of scheduling. threads None means one thread.
+    Paths are embarrassingly parallel: contiguous chunks of about _CHUNK
+    paths or fewer, at least one per thread, fill disjoint slices, so the
+    output is independent of scheduling. threads None means one thread.
     """
     n_steps = int(round(cfg.horizon / cfg.dt))
     if not cfg.explosion_threshold >= 10.0 * p.lambda0:
         raise ConfigError(
             "explosion_threshold must be at least 10 * lambda0 "
             f"({10.0 * p.lambda0}), got {cfg.explosion_threshold}")
+    nthreads = 1 if threads is None else int(threads)
+    if nthreads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if path_indices is None:
         idx = np.arange(cfg.n_paths, dtype=np.int64)
     else:
@@ -218,19 +221,42 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
     def run(lo: int, hi: int) -> None:
         """Simulate batch positions lo..hi-1, writing their results."""
-        cols = np.arange(hi - lo)
-        gens = [_substream(cfg.seed, int(i)) for i in idx[lo:hi]]
-        noise = np.empty((min(_NOISE_BLOCK, n_steps), hi - lo))
+        w = hi - lo
+        cols = np.arange(w)
+        # Philox state per path: counter, buffer, buffer_pos, key (seed, i);
+        # gen is set to a path's state before each of its draws
+        state = np.zeros((w, 11), dtype=np.uint64)
+        state[:, 8], state[:, 9], state[:, 10] = 4, cfg.seed, idx[lo:hi]
+        gen = np.random.Generator(np.random.Philox())
+        noise = np.empty((min(_NOISE_BLOCK, n_steps), w))
         tau_c, tr_c, ty_c, ld_c = (None if a is None else a[lo:hi]
                                    for a in (tau, term_r, term_y, ldisc))
         rr_c, ry_c = (None if a is None else a[:, lo:hi] for a in (rec_r, rec_y))
-        r, y = np.full(hi - lo, crv.lambda0), np.zeros(hi - lo)
-        disc = None if ldisc is None else np.zeros(hi - lo)
+        r, y = np.full(w, crv.lambda0), np.zeros(w)
+        rn, yn, mu_r, mu_y, sr, tmp = np.empty((6, w))
+        disc = None if ldisc is None else np.zeros(w)
 
         for k0 in range(0, n_steps, _NOISE_BLOCK):
             nb = min(_NOISE_BLOCK, n_steps - k0)
-            for c in cols.tolist():
-                noise[:nb, c] = gens[c].standard_normal(nb)
+            # live path j draws into noise column j through a path-major
+            # stage copied _STAGE columns at a time (a strided column write
+            # per path costs more than the copy)
+            stage, live = np.empty((_STAGE, nb)), cols.tolist()
+            for j0 in range(0, len(live), _STAGE):
+                grp = live[j0:j0 + _STAGE]
+                for j, c in enumerate(grp):
+                    s = state[c].tolist()
+                    gen.bit_generator.state = {
+                        "bit_generator": "Philox", "has_uint32": 0,
+                        "uinteger": 0, "buffer": s[4:8], "buffer_pos": s[8],
+                        "state": {"counter": s[:4], "key": s[9:]}}
+                    gen.standard_normal(out=stage[j])
+                    if k0 + nb < n_steps:
+                        s, row = gen.bit_generator.state, state[c]
+                        row[:4], row[4:8] = s["state"]["counter"], s["buffer"]
+                        row[8] = s["buffer_pos"]
+                noise[:nb, j0:j0 + len(grp)] = stage[:len(grp)].T
+            ncol = None  # noise columns of the live paths, None while in order
             for k in range(k0, k0 + nb):
                 if not cols.size:
                     break
@@ -238,15 +264,19 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                     rr_c[k // stride, cols] = r - shift
                     ry_c[k // stride, cols] = y
                 if disc is not None:
-                    disc += (r - shift) * dt
-                mu_r, mu_y, sr = coefficients(r, y, lam[k], dlam[k], p0)
-                rn = r + mu_r * dt + sr * sqrt_dt * noise[k - k0, cols]
-                yn = np.maximum(y + mu_y * dt, 0.0)
-                # rn, yn finite and below thr (yn is never -inf)
-                ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
-                if ok.all():
-                    r, y = rn, yn
+                    disc += np.multiply(np.subtract(r, shift, out=tmp), dt, out=tmp)
+                coefficients(r, y, lam[k], dlam[k], p0, out=(mu_r, mu_y, sr))
+                z = noise[k - k0, :len(cols)] if ncol is None else noise[k - k0, ncol]
+                # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
+                np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
+                rn += np.multiply(np.multiply(sr, sqrt_dt, out=sr), z, out=sr)
+                np.maximum(np.add(y, np.multiply(mu_y, dt, out=mu_y), out=yn),
+                           0.0, out=yn)
+                # rn, yn finite and below thr (yn is never -inf; nan fails)
+                if rn.max() < thr and yn.max() < thr and rn.min() > -np.inf:
+                    r, rn, y, yn = rn, r, yn, y
                     continue
+                ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
                 # the exploded paths keep their last good state
                 dead = ~ok
                 at = cols[dead]
@@ -256,7 +286,10 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                 if disc is not None:
                     ld_c[at] = disc[dead]
                     disc = disc[ok]
+                ncol = (np.arange(len(cols)) if ncol is None else ncol)[ok]
                 cols, r, y = cols[ok], rn[ok], yn[ok]
+                rn, yn, mu_r, mu_y, sr, tmp = (
+                    a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr, tmp))
 
         if rr_c is not None and n_steps % stride == 0:
             rr_c[n_steps // stride, cols] = r - shift
@@ -266,11 +299,11 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         if disc is not None:
             ld_c[cols] = disc
 
-    nthreads = max(1, int(threads or 1))
-    if nthreads == 1 or n < 2 * nthreads:
-        run(0, n)
+    nchunks = max(min(nthreads, n), -(-n // _CHUNK))
+    bounds = np.linspace(0, n, nchunks + 1, dtype=int).tolist()
+    if nthreads == 1:
+        list(map(run, bounds[:-1], bounds[1:]))
     else:
-        bounds = np.linspace(0, n, nthreads + 1, dtype=int).tolist()
         with ThreadPoolExecutor(max_workers=nthreads) as ex:
             list(ex.map(run, bounds[:-1], bounds[1:]))  # re-raises
 

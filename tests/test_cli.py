@@ -245,6 +245,17 @@ def test_second_lambda0_exits_2(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("config error: curve: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "price"])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
+    cfg = write_config(tmp_path / "c.json", {
+        "model": MODEL, "curve": CURVE, "sim": SIM,
+        "price": {"T": 0.5, "delta": 0.25}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x"),
+                 "--threads", threads]) == 2
+    assert capsys.readouterr().err.startswith("config error: threads ")
+
+
 class TestImport:
     @pytest.mark.parametrize("module", ["model_core", "sde_engine",
                                         "ode_limit", "explosion_criteria",

@@ -1,5 +1,7 @@
 """Tests for the Euler engine: determinism, explosion handling, estimators."""
 
+import dataclasses
+import hashlib
 import io
 import math
 import tracemalloc
@@ -8,10 +10,10 @@ import numpy as np
 import pytest
 
 from qghjm import (ConfigError, EmptySample, ForwardCurve, ModelParams,
-                   OnExplosion, SimConfig, expectation_functional,
-                   explosion_probability, ode_integrate,
-                   pathwise_discount_factors, sigma_r, simulate_batch,
-                   simulate_path)
+                   OnExplosion, SimConfig, coefficients,
+                   expectation_functional, explosion_probability,
+                   ode_integrate, pathwise_discount_factors, sigma_r,
+                   simulate_batch, simulate_path)
 from qghjm import sde_engine as eng
 from qghjm.sde_engine import write_explosions_csv, write_paths_csv
 
@@ -41,6 +43,12 @@ class TestConfig:
                         explosion_threshold=0.5)
         with pytest.raises(ConfigError, match="explosion_threshold"):
             simulate_path(params(), FLAT, cfg, 0)
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_rejected(self, threads):
+        cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=4, seed=1)
+        with pytest.raises(ConfigError, match="threads"):
+            simulate_batch(params(), FLAT, cfg, threads=threads)
 
     def test_json_round_trip(self):
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=5, seed=7,
@@ -108,6 +116,47 @@ class TestDeterminism:
             for f in ("tau_hat", "terminal_r", "terminal_y", "log_discount"):
                 assert getattr(one, f)[0] == getattr(batch, f)[pos], f
 
+    def test_chunk_and_block_boundaries(self, monkeypatch):
+        # 7-path chunks and 1024-step noise blocks cut through a shuffled
+        # batch with repeated indices; every path must equal its lone run
+        # and a scalar Euler loop on a fresh Philox(key=[seed, i]) stream
+        monkeypatch.setattr(eng, "_CHUNK", 7)
+        p = params(sigma=0.5, beta=0.01)
+        cfg = SimConfig(dt=0.02, horizon=50.0, n_paths=40, seed=62,
+                        record_stride=7)
+        order = np.random.default_rng(1).permutation(cfg.n_paths)
+        order = np.concatenate([order, order[:2], [5, 5]])
+        lone = [simulate_batch(p, FLAT, cfg, [i], record=True,
+                               want_discount=True) for i in order]
+        for threads in (1, 2):
+            batch = simulate_batch(p, FLAT, cfg, order, record=True,
+                                   want_discount=True, threads=threads)
+            died = np.floor(batch.tau_hat[batch.exploded]
+                            / (eng._NOISE_BLOCK * cfg.dt))
+            assert len(np.unique(died)) >= 2 and not batch.exploded.all()
+            for pos, one in enumerate(lone):
+                for f in ("rec_r", "rec_y"):
+                    np.testing.assert_array_equal(getattr(one, f)[:, 0],
+                                                  getattr(batch, f)[:, pos])
+                for f in ("path_index", "exploded", "tau_hat", "terminal_r",
+                          "terminal_y", "log_discount"):
+                    assert getattr(one, f)[0] == getattr(batch, f)[pos], f
+        n_steps = round(cfg.horizon / cfg.dt)
+        sqrt_dt = math.sqrt(cfg.dt)
+        for pos, i in enumerate(order):
+            gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+            r, y, tau = 0.1, 0.0, math.inf
+            for k in range(n_steps):
+                mu_r, mu_y, sr = coefficients(r, y, 0.1, 0.0, p)
+                rn = r + mu_r * cfg.dt + sr * sqrt_dt * gen.standard_normal()
+                yn = max(y + mu_y * cfg.dt, 0.0)
+                if not (rn < 1e6 and yn < 1e6 and rn > -math.inf):
+                    tau = k * cfg.dt
+                    break
+                r, y = rn, yn
+            assert (tau, r, y) == (batch.tau_hat[pos], batch.terminal_r[pos],
+                                   batch.terminal_y[pos])
+
     def test_negative_index_rejected(self):
         cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, seed=1)
         with pytest.raises(ConfigError):
@@ -124,6 +173,45 @@ class TestDeterminism:
         b2 = simulate_batch(shifted, curve_shifted, cfg, record=True)
         np.testing.assert_array_equal(b1.rec_r, b2.rec_r - a)
         np.testing.assert_array_equal(b1.rec_y, b2.rec_y)
+
+
+def _digest(batch):
+    """sha256 over every BatchPaths field: name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(batch):
+        v = getattr(batch, f.name)
+        h.update(f.name.encode())
+        if v is not None:
+            a = np.ascontiguousarray(v)
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
+
+
+class TestGolden:
+    """Pinned digests of whole batches. A tolerance test cannot see a
+    flipped sign of zero or a reordered rounding; these can. The digests
+    depend on numpy's pow kernels for gamma < 1, so a platform whose pow
+    rounds differently needs them recomputed from a trusted commit."""
+
+    @pytest.mark.parametrize("p, curve, cfg, digest", [
+        (params(sigma=1.5, beta=1.0), FLAT,
+         SimConfig(dt=0.1, horizon=120.0, n_paths=30, seed=81,
+                   record_stride=4),
+         "8ea27558075310e5dada1f98e897b1064c325c04171b08b5d035277df1cf6d98"),
+        (params(sigma=0.4, beta=0.02, gamma=0.75, displacement=0.02,
+                vol_cap=0.3),
+         ForwardCurve.tabulated([[0.0, 0.1], [5.0, 0.12], [20.0, 0.09]]),
+         SimConfig(dt=0.01, horizon=12.0, n_paths=25, seed=82,
+                   record_stride=6),
+         "66e79817f2e6acaa2f133e8fe3fdc19fee442eb4de764d6894d9240b14b8bbed"),
+        (params(sigma=0.3, gamma=0.5), FLAT,
+         SimConfig(dt=0.01, horizon=11.0, n_paths=25, seed=83,
+                   record_stride=5, explosion_threshold=1e8),
+         "bf13a8be62a6772f59ef6c415a920216de7ccd3d7824523eae809185a882bf51"),
+    ], ids=["gamma1", "gamma075_displaced_capped_tabulated", "gamma_half"])
+    def test_batch_digest(self, p, curve, cfg, digest):
+        batch = simulate_batch(p, curve, cfg, record=True, want_discount=True)
+        assert _digest(batch) == digest
 
 
 class TestScheme:
@@ -318,6 +406,17 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_wide_batch_noise_is_chunked(self):
+        # the noise block spans one path chunk, not the whole batch
+        cfg = SimConfig(dt=1.0 / 365.0, horizon=1.0, n_paths=40000, seed=18)
+        tracemalloc.start()
+        try:
+            simulate_batch(params(), FLAT, cfg, want_discount=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
 
 
 class TestCsv:
