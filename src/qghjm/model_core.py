@@ -258,11 +258,12 @@ def sigma_r(x, p: ModelParams, out=None):
     zero diffusion and the positive drift restores the state. Continuous at
     z = epsilon, and exactly sigma*z for gamma = 1. When vol_cap is set the
     result is clipped to [0, vol_cap]. Accepts scalars or arrays; out, an
-    array shaped like x, receives the result (at gamma = 1 without a cap
-    it is max(sigma*z, 0), the same value for every x but nan).
+    array shaped like x, receives the result. Only the gamma = 1 branch
+    without a cap, max(sigma*z, 0), fills out with no temporary (and gives
+    nan, not 0, for a nan x).
     """
-    z = np.asarray(x, dtype=float) + p.displacement
-    if out is not None and p.gamma == 1.0 and p.vol_cap is None:
+    z = np.add(x, p.displacement, out=out)
+    if p.gamma == 1.0 and p.vol_cap is None:
         return np.maximum(np.multiply(z, p.sigma, out=out), 0.0, out=out)
     pos = z > 0.0
     zs = np.where(pos, z, 1.0)
@@ -270,10 +271,10 @@ def sigma_r(x, p: ModelParams, out=None):
     v = np.where(pos, p.sigma * z * np.minimum(zs ** (p.gamma - 1.0), cut), 0.0)
     if p.vol_cap is not None:
         v = np.minimum(np.maximum(v, 0.0), p.vol_cap)
-    if out is not None:
-        out[...] = v
-        return out
-    return float(v) if np.ndim(x) == 0 else v
+    if out is None:
+        return float(v) if v.ndim == 0 else v
+    out[...] = v
+    return out
 
 
 def coefficients(r, y, lam, dlam, p: ModelParams, out=None):
@@ -284,20 +285,15 @@ def coefficients(r, y, lam, dlam, p: ModelParams, out=None):
 
     sr = sigma_r(r), and lam, dlam are the curve value lambda(t) and slope
     lambda'(t). Accepts scalars or arrays; out, three arrays shaped like r,
-    receives the same bits in place.
+    receives the result in place, with the same bits.
     """
-    if out is None:
-        sr = sigma_r(r, p)
-        return (y - p.beta * r + p.beta * lam + dlam,
-                sr * sr - 2.0 * p.beta * y, sr)
-    mu_r, mu_y, sr = out
-    sigma_r(r, p, out=sr)
-    np.multiply(y, 2.0 * p.beta, out=mu_r)  # mu_r is scratch here
-    np.subtract(np.multiply(sr, sr, out=mu_y), mu_r, out=mu_y)
-    np.subtract(y, np.multiply(r, p.beta, out=mu_r), out=mu_r)
-    mu_r += p.beta * lam
-    mu_r += dlam
-    return out
+    o_r, o_y, o_s = (None, None, None) if out is None else out
+    sr = sigma_r(r, p, out=o_s)
+    two_beta_y = np.multiply(y, 2.0 * p.beta, out=o_r)  # o_r as scratch
+    mu_y = np.subtract(np.multiply(sr, sr, out=o_y), two_beta_y, out=o_y)
+    mu_r = np.subtract(y, np.multiply(r, p.beta, out=o_r), out=o_r)
+    mu_r = np.add(np.add(mu_r, p.beta * lam, out=o_r), dlam, out=o_r)
+    return (mu_r, mu_y, sr) if out is None else out
 
 
 def generator_apply(field: SmoothField, r, y, p: ModelParams):

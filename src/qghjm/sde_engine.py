@@ -17,7 +17,8 @@ least one per thread) on their live paths only; cols holds their positions
 in the chunk. One Philox per chunk is re-keyed to (seed, i) for a path's
 first block of 1024 steps, and a uint64 table carries its counter and
 buffer to the next block. A block is step-major, one column per path live
-at its start, so a step reads a row slice until a path dies. The step
+at its start, filled through a small path-major stage, so a step reads a
+row slice until a path dies in that block. The step
 evaluates model_core.coefficients into preallocated buffers (out=, same
 per-element order and bits) at the shifted rate on the shifted curve; the
 displacement is taken off every emitted r. A path stops at the first step

@@ -95,16 +95,23 @@ class TestSigmaR:
         {}, {"displacement": 0.02}, {"vol_cap": 0.05}, {"gamma": 0.6},
         {"gamma": 0.6, "displacement": 0.02, "vol_cap": 0.05},
     ])
-    def test_out_matches_plain_bits(self, kw):
-        # the in-place path, and its gamma = 1 shortcut, keep every bit,
-        # the sign of zero included
+    def test_out_matches_formula_bits(self, kw):
+        # fresh and in-place results, the gamma = 1 shortcut included, keep
+        # every bit of the plain formula, the sign of zero included
         p = params(**kw)
         xs = np.array([-np.inf, -1.0, -0.02, -0.0, 0.0, 5e-324, 1e-300,
                        0.005, 0.01, 0.5, 2.0, 1e300, np.inf])
         out = np.full_like(xs, np.nan)
         with np.errstate(invalid="ignore"):  # inf * 0 at x = inf, gamma < 1
+            z = xs + p.displacement
+            g = p.gamma - 1.0
+            want = np.where(z > 0.0, p.sigma * z * np.minimum(
+                np.where(z > 0.0, z, 1.0) ** g, p.epsilon ** g), 0.0)
+            if p.vol_cap is not None:
+                want = np.minimum(np.maximum(want, 0.0), p.vol_cap)
+            assert sigma_r(xs, p).tobytes() == want.tobytes()
             assert sigma_r(xs, p, out=out) is out
-            assert out.tobytes() == sigma_r(xs, p).tobytes()
+        assert out.tobytes() == want.tobytes()
 
     @given(gamma=st.floats(0.05, 1.0), sigma=st.floats(0.01, 2.0),
            eps=st.floats(1e-4, 0.5))
@@ -244,15 +251,19 @@ class TestDrift:
 
     @pytest.mark.parametrize("kw", [{"beta": 0.3}, {"beta": 0.0},
                                     {"gamma": 0.5, "vol_cap": 0.04}])
-    def test_out_matches_plain_bits(self, kw):
+    def test_out_matches_formula_bits(self, kw):
         p = params(**kw)
         rng = np.random.default_rng(4)
         r = np.concatenate([rng.normal(0.1, 0.2, 200), [-0.0, 0.0, 1e6]])
         y = np.concatenate([rng.uniform(0.0, 0.05, 200), [0.0, 0.0, 3.0]])
+        sr = sigma_r(r, p)
+        want = (y - p.beta * r + p.beta * 0.12 + -0.01,
+                sr * sr - 2.0 * p.beta * y, sr)
         out = tuple(np.full_like(r, np.nan) for _ in range(3))
         assert coefficients(r, y, 0.12, -0.01, p, out=out) is out
-        for got, want in zip(out, coefficients(r, y, 0.12, -0.01, p)):
-            assert got.tobytes() == want.tobytes()
+        for got in (out, coefficients(r, y, 0.12, -0.01, p)):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 def _expanded_generator(r, y, c2, c3, d1, d2, sigma, beta, r0, gamma, eps):
