@@ -3,10 +3,12 @@
     qghjm simulate|region|verify|ode|price --config FILE --out DIR
           [--seed N] [--threads N]
 
-All inputs come from a JSON config file with strict key checking; outputs
-are plot-ready CSV files plus JSON summaries that embed the resolved
-configuration. Exit codes: 0 success, 2 configuration error, 3 analytic
-condition unsatisfied or verification failure.
+All inputs come from one JSON config, read strictly by _setup: finite
+numbers only, every section an object with no unknown and no missing key
+(model, sim: the ModelParams, SimConfig fields; a command's own section:
+_SECTIONS). Outputs are plot-ready CSV files plus JSON summaries that
+embed the resolved configuration. Exit codes: 0 success, 2 configuration
+error (any ConfigError), 3 condition unsatisfied or verification failure.
 """
 
 from __future__ import annotations
@@ -25,89 +27,73 @@ from . import explosion_criteria as xc
 from . import ode_limit, pricing
 from . import sde_engine as eng
 from ._csv import write_rows
-from .errors import ConfigError, GammaOutOfRange, QGHJMError, as_int
+from .errors import (ConfigError, GammaOutOfRange, QGHJMError, as_int,
+                     check_keys)
 from .model_core import ForwardCurve, ModelParams
 
-_TOP_KEYS = {"model", "curve", "sim", "simulate", "region", "verify", "ode",
-             "price"}
-_SECTION_KEYS = {
-    "simulate": {"checkpoints"},
-    "region": {"gammas", "sigma"},
-    "verify": {"condition", "c3_scale", "grid_n"},
-    "ode": {"horizon", "tol", "blowup_threshold"},
-    "price": {"T", "delta", "discount_check"},
+_PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
+# each command's own section: (allowed keys, required keys); a section
+# with a required key must be present, one without may be left out
+_SECTIONS = {
+    "simulate": ({"checkpoints"}, ()),
+    "region": ({"gammas", "sigma"}, ("gammas", "sigma")),
+    "verify": ({"condition", "grid_n"}, ()),
+    "ode": ({"horizon", "tol", "blowup_threshold"}, ("horizon",)),
+    "price": ({"T", "delta", "discount_check"}, ("T", "delta")),
 }
 
 
-def _fail_config(msg: str) -> "SystemExit":
-    print(f"config error: {msg}", file=sys.stderr)
-    return SystemExit(2)
-
-
-def _load_config(path: str, command: str, needs: set[str]) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise _fail_config(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise _fail_config(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-    if not isinstance(raw, dict):
-        raise _fail_config("top-level config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise _fail_config(f"unknown top-level key(s): {sorted(unknown)}")
-    missing = needs - set(raw)
-    if missing:
-        raise _fail_config(f"{command} requires section(s): {sorted(missing)}")
-    for key, sect in raw.items():
-        if sect is not None and not isinstance(sect, dict):
-            raise _fail_config(f"'{key}' section must be a JSON object")
-    sect = raw.get(command)
-    if sect is not None:
-        bad = set(sect) - _SECTION_KEYS.get(command, set())
-        if bad:
-            raise _fail_config(
-                f"unknown key(s) in '{command}' section: {sorted(bad)}")
-    return raw
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {text} is not allowed")
+    return x
 
 
 @contextmanager
 def _reading(what: str):
-    """Report a malformed or missing value read in the block as a config
-    error about section what."""
+    """Report a malformed value read in the block, or one the library
+    rejects, as a config error about section what."""
     try:
         yield
-    except (ValueError, TypeError, KeyError) as e:
-        kind = "" if isinstance(e, ConfigError) else f"{type(e).__name__}: "
-        raise _fail_config(f"{what}: {kind}{e}") from None
-
-
-_PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
+    except (ValueError, TypeError, QGHJMError) as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
 def _setup(args, *needs: str) -> list:
-    """Load the config of args.command, which needs the given sections.
+    """Check --threads, load the config and create the output directory.
 
-    Returns [raw config, then the parsed model, curve and sim among needs,
-    in the order given], applies --seed to the sim settings, rejects a
-    curve whose lambda(0) differs from the model's lambda0 and creates the
-    output directory.
+    Returns the parsed sections of needs (model, curve, sim; --seed applied
+    to sim, a curve lambda(0) other than the model's lambda0 rejected),
+    then the command's own section, checked against _SECTIONS.
     """
-    raw = _load_config(args.config, args.command, set(needs))
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read {args.config}: {e}") from None
+    cmd = args.command
+    allowed, required = _SECTIONS[cmd]
+    check_keys(raw, "top-level", {*_PARSERS, *_SECTIONS},
+               needs + ((cmd,) if required else ()))
+    for key, sect in raw.items():  # every section given is an object or null
+        if sect is not None:
+            check_keys(sect, key, allowed=sect)
     parsed = {}
     for key in needs:
-        if key in _PARSERS:
-            with _reading(key):
-                parsed[key] = _PARSERS[key].from_json(raw[key])
+        with _reading(key):
+            parsed[key] = _PARSERS[key].from_json(raw[key])
     if "sim" in parsed and args.seed is not None:
         parsed["sim"] = replace(parsed["sim"], seed=args.seed)
     p, curve = parsed.get("model"), parsed.get("curve")
     if p is not None and curve is not None and curve.lambda0 != p.lambda0:
-        raise _fail_config(f"curve: lambda(0) = {curve.lambda0} differs "
-                           f"from the model's lambda0 = {p.lambda0}")
+        raise ConfigError(f"curve: lambda(0) = {curve.lambda0} differs "
+                          f"from the model's lambda0 = {p.lambda0}")
+    opts = check_keys(raw.get(cmd) or {}, cmd, allowed, required)
     os.makedirs(args.out, exist_ok=True)
-    return [raw, *parsed.values()]
+    return [*parsed.values(), opts]
 
 
 def _json_safe(x):
@@ -127,8 +113,7 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    raw, p, curve, cfg = _setup(args, "model", "curve", "sim")
-    opts = raw.get("simulate") or {}
+    p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
     checkpoints = opts.get("checkpoints")
     if checkpoints is None:
         checkpoints = np.linspace(cfg.horizon / 10.0, cfg.horizon, 10)
@@ -158,27 +143,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_region(args) -> int:
-    raw, = _setup(args, "region")
-    opts = raw["region"]
-    gammas = opts.get("gammas")
-    sig = opts.get("sigma")
-    if not gammas or sig is None:
-        raise _fail_config("region requires 'gammas' and 'sigma'")
-    if isinstance(sig, dict):
-        bad = set(sig) - {"start", "stop", "num"}
-        if bad:
-            raise _fail_config(f"unknown sigma key(s): {sorted(bad)}")
+    opts, = _setup(args)
+    sig, span = opts["sigma"], ("start", "stop", "num")
     with _reading("region"):
-        gammas = [float(g) for g in gammas]
-        sigma_grid = (np.linspace(float(sig["start"]), float(sig["stop"]),
-                                  as_int(sig["num"]))
-                      if isinstance(sig, dict) else
-                      np.asarray([float(s) for s in sig]))
+        gammas = [float(g) for g in opts["gammas"]]
+        if isinstance(sig, dict):
+            check_keys(sig, "sigma", span, span)
+            sigma_grid = np.linspace(float(sig["start"]), float(sig["stop"]),
+                                     as_int(sig["num"]))
+        else:
+            sigma_grid = np.asarray([float(s) for s in sig])
     if np.any(sigma_grid <= 0.0):
-        raise _fail_config("sigma grid must be positive")
-    for g in gammas:
-        if not 0.5 < g <= 1.0:
-            raise _fail_config(f"gamma must be in (1/2, 1], got {g}")
+        raise ConfigError("sigma grid must be positive")
+    if not gammas or not all(0.5 < g <= 1.0 for g in gammas):
+        raise ConfigError(f"gammas must be in (1/2, 1], got {gammas}")
     for g in gammas:
         curve = xc.region_curve(g, sigma_grid)
         name = f"region_gamma_{g:g}.csv"
@@ -188,15 +166,12 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw, p = _setup(args, "model")
-    opts = raw.get("verify") or {}
+    p, opts = _setup(args, "model")
     which = opts.get("condition", "II")
     with _reading("verify"):
-        c3_scale = float(args.c3_scale if args.c3_scale is not None
-                         else opts.get("c3_scale", 1.0))
         grid = xc.VerifyGrid(n=as_int(opts.get("grid_n", 200)))
     out: dict = {"model": p.to_json(), "condition_requested": which,
-                 "c3_scale": c3_scale}
+                 "c3_scale": args.c3_scale}
 
     try:
         report = xc.check_condition(p, which)
@@ -214,8 +189,8 @@ def cmd_verify(args) -> int:
         return 3
 
     spec = xc.build_lyapunov(p, report)
-    if c3_scale != 1.0:
-        spec = xc.scale_c3(spec, c3_scale)
+    if args.c3_scale != 1.0:
+        spec = xc.scale_c3(spec, args.c3_scale)
     R = spec.R
     k1, k2 = xc.kappas(R, p, spec.deltas)
     wedge = xc.wedge_feasible_slopes(R, p, spec.deltas)
@@ -247,17 +222,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    raw, p, curve = _setup(args, "model", "curve", "ode")
-    opts = raw["ode"]
+    p, curve, opts = _setup(args, "model", "curve")
     with _reading("ode"):
         horizon = float(opts["horizon"])
         tol = float(opts.get("tol", 1e-10))
         blowup = float(opts.get("blowup_threshold", 1e10))
-    try:
         res = ode_limit.ode_integrate(p, curve, horizon, tol,
                                       blowup_threshold=blowup)
-    except QGHJMError as e:
-        raise _fail_config(str(e))
     with open(os.path.join(args.out, "ode_trace.csv"), "w") as fh:
         write_rows(fh, "t,r,y", res.trace)
     # the closed forms hold for a flat, uncapped, undisplaced model only
@@ -289,14 +260,13 @@ def _write_estimate(path: str, T: float, delta: float,
 
 
 def cmd_price(args) -> int:
-    raw, p, curve, cfg = _setup(args, "model", "curve", "sim", "price")
-    opts = raw["price"]
+    p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
     with _reading("price"):
         T = float(opts["T"])
         delta = float(opts["delta"])
     check = opts.get("discount_check", False)
     if not isinstance(check, bool):
-        raise _fail_config(f"price: discount_check {check!r} is not a boolean")
+        raise ConfigError(f"price: discount_check {check!r} is not a boolean")
     # one simulation up to T serves the futures and the discount check
     batch = eng.simulate_batch(p, curve, pricing.futures_config(cfg, T, delta),
                                want_discount=check, threads=args.threads)
@@ -326,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=None)
         if name == "verify":
-            sp.add_argument("--c3-scale", type=float, default=None,
+            sp.add_argument("--c3-scale", type=float, default=1.0,
                             dest="c3_scale")
         sp.set_defaults(fn=fn)
     return ap
@@ -336,8 +306,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return int(e.code) if e.code is not None else 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

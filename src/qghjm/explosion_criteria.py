@@ -228,6 +228,10 @@ class VerifyGrid:
     n: int = 200
     face_points: int = 100
 
+    def __post_init__(self) -> None:
+        if not (self.n >= 2 and self.face_points >= 1):
+            raise ConfigError(f"need n >= 2 and face_points >= 1: {self}")
+
 
 @dataclass(frozen=True)
 class VerificationReport:

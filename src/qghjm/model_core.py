@@ -26,12 +26,12 @@ Units: time in years, rates as absolute decimals (0.1 means 10%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys, from_json
 
 __all__ = [
     "ModelParams",
@@ -96,30 +96,10 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelParams":
-        allowed = {"sigma", "beta", "gamma", "epsilon", "lambda0",
-                   "displacement", "vol_cap"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"unknown model key(s): {sorted(unknown)}")
-        missing = {"sigma", "beta", "gamma", "epsilon", "lambda0"} - set(obj)
-        if missing:
-            raise ConfigError(f"missing model key(s): {sorted(missing)}")
-        return cls(
-            sigma=float(obj["sigma"]),
-            beta=float(obj["beta"]),
-            gamma=float(obj["gamma"]),
-            epsilon=float(obj["epsilon"]),
-            lambda0=float(obj["lambda0"]),
-            displacement=float(obj.get("displacement", 0.0)),
-            vol_cap=None if obj.get("vol_cap") is None else float(obj["vol_cap"]),
-        )
+        return from_json(cls, obj, "model")
 
     def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma, "beta": self.beta, "gamma": self.gamma,
-            "epsilon": self.epsilon, "lambda0": self.lambda0,
-            "displacement": self.displacement, "vol_cap": self.vol_cap,
-        }
+        return asdict(self)
 
 
 class ForwardCurve:
@@ -223,16 +203,12 @@ class ForwardCurve:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ForwardCurve":
-        kind = obj.get("kind")
+        kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "flat":
-            unknown = set(obj) - {"kind", "lambda0"}
-            if unknown:
-                raise ConfigError(f"unknown curve key(s): {sorted(unknown)}")
+            check_keys(obj, "curve", {"kind", "lambda0"}, {"lambda0"})
             return cls.flat(float(obj["lambda0"]))
         if kind == "tabulated":
-            unknown = set(obj) - {"kind", "knots"}
-            if unknown:
-                raise ConfigError(f"unknown curve key(s): {sorted(unknown)}")
+            check_keys(obj, "curve", {"kind", "knots"}, {"knots"})
             return cls.tabulated(obj["knots"])
         raise ConfigError(f"curve kind must be 'flat' or 'tabulated', got {kind!r}")
 

@@ -56,6 +56,8 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
     if p.gamma != 1.0:
         raise UnsupportedGamma(
             f"the deterministic limit requires gamma = 1, got {p.gamma}")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be in (0, inf), got {horizon}")
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     # imported here: scipy.integrate dominates the package import time

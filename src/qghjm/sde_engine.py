@@ -37,13 +37,13 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from ._csv import write_rows
-from .errors import ConfigError, EmptySample, as_int
+from .errors import ConfigError, EmptySample, from_json
 from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = [
@@ -86,9 +86,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
-        if not self.horizon >= self.dt:
-            raise ConfigError(
-                f"horizon must be >= dt, got horizon={self.horizon} dt={self.dt}")
+        if not self.dt <= self.horizon < math.inf:
+            raise ConfigError(f"horizon must be finite and >= dt, "
+                              f"got horizon={self.horizon} dt={self.dt}")
         if not self.n_paths >= 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -100,29 +100,10 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
-        allowed = {"dt", "horizon", "n_paths", "seed",
-                   "explosion_threshold", "record_stride"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"unknown sim key(s): {sorted(unknown)}")
-        missing = {"dt", "horizon", "n_paths", "seed"} - set(obj)
-        if missing:
-            raise ConfigError(f"missing sim key(s): {sorted(missing)}")
-        return cls(
-            dt=float(obj["dt"]),
-            horizon=float(obj["horizon"]),
-            n_paths=as_int(obj["n_paths"]),
-            seed=as_int(obj["seed"]),
-            explosion_threshold=float(obj.get("explosion_threshold", 1e6)),
-            record_stride=as_int(obj.get("record_stride", 1)),
-        )
+        return from_json(cls, obj, "sim")
 
     def to_json(self) -> dict:
-        return {
-            "dt": self.dt, "horizon": self.horizon, "n_paths": self.n_paths,
-            "seed": self.seed, "explosion_threshold": self.explosion_threshold,
-            "record_stride": self.record_stride,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

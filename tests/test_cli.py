@@ -83,6 +83,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps({"model": MODEL, "curve": CURVE, "sim": SIM})
+                       .replace('"dt": 0.01', f'"dt": {literal}'))
+        assert main(["simulate", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite number" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"model": ')
@@ -109,6 +118,14 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     ("simulate", "sim", dict(SIM, n_paths=2.5)),
     ("price", "price", {"T": 0.5, "delta": 0.25, "discount_check": "false"}),
     ("verify", "verify", {"R": 1e6}),
+    ("ode", "ode", {"horizon": math.nan}),
+    ("simulate", "sim", dict(SIM, horizon=math.inf)),
+    ("simulate", "model", dict(MODEL, sigma=math.inf)),
+    ("simulate", "model", dict(MODEL, vol_cap=math.inf)),
+    ("verify", "verify", {"c3_scale": 100}),
+    ("verify", "verify", {"grid_n": -1}),
+    ("verify", "verify", {"grid_n": 0}),
+    ("region", "region", dict(REGION, gammas=[])),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
@@ -245,12 +262,13 @@ def test_second_lambda0_exits_2(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("config error: curve: ")
 
 
-@pytest.mark.parametrize("command", ["simulate", "price"])
+@pytest.mark.parametrize("command", ["simulate", "price", "verify", "region",
+                                     "ode"])
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
     cfg = write_config(tmp_path / "c.json", {
-        "model": MODEL, "curve": CURVE, "sim": SIM,
-        "price": {"T": 0.5, "delta": 0.25}})
+        "model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
+        "ode": {"horizon": 1.0}, "price": {"T": 0.5, "delta": 0.25}})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x"),
                  "--threads", threads]) == 2
     assert capsys.readouterr().err.startswith("config error: threads ")

@@ -487,6 +487,13 @@ class TestBuildAndVerify:
         with pytest.raises(q.DomainError):
             q.verify_generator_inequality(low_c, p)
 
+    @pytest.mark.parametrize("kw", [{"n": 1}, {"n": 0}, {"n": -1},
+                                    {"face_points": 0}])
+    def test_degenerate_grid_rejected(self, kw):
+        # n = 0 would check the face points alone
+        with pytest.raises(q.ConfigError, match="face_points"):
+            q.VerifyGrid(**kw)
+
 
 class TestK0:
     def make_spec(self, c2, c3, R, d2=0.5):

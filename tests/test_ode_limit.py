@@ -95,6 +95,12 @@ class TestBlowup:
         assert res_d.terminal[0] == pytest.approx(res_s.terminal[0] - a,
                                                   rel=1e-12)
 
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0, math.nan, math.inf])
+    def test_horizon_outside_open_half_line_rejected(self, horizon):
+        # -5 would integrate backwards to y < 0; nan never ends the run
+        with pytest.raises(DomainError, match="horizon"):
+            ode_integrate(params(), FLAT, horizon)
+
 
 class TestCritical:
     def test_reported_value(self):

@@ -31,6 +31,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"dt": -0.1}, {"horizon": 0.005}, {"n_paths": 0},
         {"record_stride": 0}, {"explosion_threshold": -1.0},
+        {"horizon": math.inf},
     ])
     def test_invalid(self, kw):
         base = dict(dt=0.01, horizon=1.0, n_paths=10, seed=1)
