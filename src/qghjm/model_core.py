@@ -232,18 +232,22 @@ def sigma_r(x, p: ModelParams, out=None):
 
     Full truncation: returns 0 for z <= 0, so negative Euler overshoots see
     zero diffusion and the positive drift restores the state. Continuous at
-    z = epsilon, and exactly sigma*z for gamma = 1. When vol_cap is set the
-    result is clipped to [0, vol_cap]. Accepts scalars or arrays; out, an
-    array shaped like x, receives the result. Only the gamma = 1 branch
-    without a cap, max(sigma*z, 0), fills out with no temporary (and gives
-    nan, not 0, for a nan x).
+    z = epsilon, exactly sigma*z for gamma = 1, and +inf at z = +inf. When
+    vol_cap is set the result is clipped to [0, vol_cap]. Accepts scalars
+    or arrays; out, an array shaped like x, receives the result: with no
+    temporary for gamma = 1 without a cap, max(sigma*z, 0) (nan, not 0, for
+    a nan x), and without masks when every z is positive and finite.
     """
     z = np.add(x, p.displacement, out=out)
     if p.gamma == 1.0 and p.vol_cap is None:
         return np.maximum(np.multiply(z, p.sigma, out=out), 0.0, out=out)
-    pos = z > 0.0
-    zs = np.where(pos, z, 1.0)
     cut = p.epsilon ** (p.gamma - 1.0)
+    if out is not None and out.size and 0.0 < z.min() and z.max() < np.inf:
+        w = np.minimum(z ** (p.gamma - 1.0), cut)  # masks below: identities
+        v = np.multiply(np.multiply(z, p.sigma, out=out), w, out=out)
+        return v if p.vol_cap is None else np.minimum(v, p.vol_cap, out=out)
+    pos = z > 0.0
+    zs = np.where(pos & (z < np.inf), z, 1.0)  # z = inf: inf * 0 is nan
     v = np.where(pos, p.sigma * z * np.minimum(zs ** (p.gamma - 1.0), cut), 0.0)
     if p.vol_cap is not None:
         v = np.minimum(np.maximum(v, 0.0), p.vol_cap)

@@ -14,18 +14,19 @@ Kernel
 ------
 simulate_batch runs contiguous chunks of at most about _CHUNK paths (at
 least one per thread) on their live paths only; cols holds their positions
-in the chunk. One Philox per chunk is re-keyed to (seed, i) for a path's
-first block of 1024 steps, and a uint64 table carries its counter and
-buffer to the next block. A block is step-major, one column per path live
-at its start, filled through a small path-major stage, so a step reads a
-row slice until a path dies in that block. The step
-evaluates model_core.coefficients into preallocated buffers (out=, same
-per-element order and bits) at the shifted rate on the shifted curve; the
-displacement is taken off every emitted r. A path stops at the first step
-whose update gives r or y at or above the explosion threshold, or a
-non-finite value: tau_hat is the left edge of that step (bias at most dt),
-the path keeps its last good state, and the live arrays are compacted on
-that step only.
+in the chunk. Each worker thread reuses one noise block, one path-major
+stage of _STAGE doubles and one uint64 state table for all its chunks. A
+chunk's Philox is re-keyed per path from a template state: key[1] = i for
+a path's first block of 1024 steps, then the counter, buffer and
+buffer_pos that the table carried over. A block is step-major, one column
+per path live at its start, so a step reads a whole row until a path dies
+in that block. The step evaluates model_core.coefficients into
+preallocated buffers (out=, same per-element order and bits) at the
+shifted rate on the shifted curve; the displacement is taken off every
+emitted r. A path stops at the first step whose update gives r or y at or
+above the explosion threshold, or a non-finite value: tau_hat is the left
+edge of that step (bias at most dt), the path keeps its last good state,
+and the live arrays are compacted on that step only.
 
 Estimators work on arrays: a payoff maps the terminal-state arrays
 (r_T, y_T) of the surviving paths to their values, and one helper gives
@@ -63,7 +64,7 @@ __all__ = [
 
 _NOISE_BLOCK = 1024
 _CHUNK = 16384
-_STAGE = 64
+_STAGE = 1 << 16  # doubles in a worker's path-major noise stage
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class SimConfig:
         if not self.dt <= self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and >= dt, "
                               f"got horizon={self.horizon} dt={self.dt}")
-        if not self.n_paths >= 1:
-            raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 1 <= self.n_paths < 2 ** 63:  # a path index is an int64 key
+            raise ConfigError(f"n_paths must be in [1, 2**63), got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
         if not self.explosion_threshold > 0.0:
@@ -201,16 +202,15 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         rec_y = np.full((len(rec_t), n), np.nan)
     ldisc = np.zeros(n) if want_discount else None
 
-    def run(lo: int, hi: int) -> None:
-        """Simulate batch positions lo..hi-1, writing their results."""
+    def run(lo: int, hi: int, noise_buf, stage, table) -> None:
+        """Simulate batch positions lo..hi-1 on one worker's buffers."""
         w = hi - lo
-        cols = np.arange(w)
-        # Philox state per path: counter, buffer, buffer_pos, key (seed, i);
-        # gen is set to a path's state before each of its draws
-        state = np.zeros((w, 11), dtype=np.uint64)
-        state[:, 8], state[:, 9], state[:, 10] = 4, cfg.seed, idx[lo:hi]
-        gen = np.random.Generator(np.random.Philox())
-        noise = np.empty((min(_NOISE_BLOCK, n_steps), w))
+        cols, ids = np.arange(w), idx[lo:hi].tolist()
+        st = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0,
+              "buffer": [0] * 4, "buffer_pos": 4,
+              "state": {"counter": [0] * 4, "key": [cfg.seed, 0]}}
+        key, bg = st["state"]["key"], np.random.Philox()
+        draw = np.random.Generator(bg).standard_normal
         tau_c, tr_c, ty_c, ld_c = (None if a is None else a[lo:hi]
                                    for a in (tau, term_r, term_y, ldisc))
         rr_c, ry_c = (None if a is None else a[:, lo:hi] for a in (rec_r, rec_y))
@@ -220,24 +220,26 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
         for k0 in range(0, n_steps, _NOISE_BLOCK):
             nb = min(_NOISE_BLOCK, n_steps - k0)
-            # live path j draws into noise column j through a path-major
-            # stage copied _STAGE columns at a time (a strided column write
-            # per path costs more than the copy)
-            stage, live = np.empty((_STAGE, nb)), cols.tolist()
-            for j0 in range(0, len(live), _STAGE):
-                grp = live[j0:j0 + _STAGE]
-                for j, c in enumerate(grp):
-                    s = state[c].tolist()
-                    gen.bit_generator.state = {
-                        "bit_generator": "Philox", "has_uint32": 0,
-                        "uinteger": 0, "buffer": s[4:8], "buffer_pos": s[8],
-                        "state": {"counter": s[:4], "key": s[9:]}}
-                    gen.standard_normal(out=stage[j])
+            # live path j draws into column j of a block as wide as the live
+            # set, through the path-major stage (a strided column write per
+            # path costs more than the copy)
+            live, rows = cols.tolist(), [s[:nb] for s in stage]
+            noise = noise_buf[:nb * len(live)].reshape(nb, len(live))
+            for j0 in range(0, len(live), len(rows)):
+                grp = live[j0:j0 + len(rows)]
+                for c, row in zip(grp, rows):
+                    key[1] = ids[c]
+                    if k0:
+                        s = table[c].tolist()
+                        st["state"]["counter"], st["buffer"] = s[:4], s[4:8]
+                        st["buffer_pos"] = s[8]
+                    bg.state = st
+                    draw(out=row)
                     if k0 + nb < n_steps:
-                        s, row = gen.bit_generator.state, state[c]
-                        row[:4], row[4:8] = s["state"]["counter"], s["buffer"]
-                        row[8] = s["buffer_pos"]
-                noise[:nb, j0:j0 + len(grp)] = stage[:len(grp)].T
+                        s, t = bg.state, table[c]
+                        t[:4], t[4:8] = s["state"]["counter"], s["buffer"]
+                        t[8] = s["buffer_pos"]
+                noise[:, j0:j0 + len(grp)] = stage[:len(grp), :nb].T
             ncol = None  # noise columns of the live paths, None while in order
             for k in range(k0, k0 + nb):
                 if not cols.size:
@@ -248,7 +250,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                 if disc is not None:
                     disc += np.multiply(np.subtract(r, shift, out=tmp), dt, out=tmp)
                 coefficients(r, y, lam[k], dlam[k], p0, out=(mu_r, mu_y, sr))
-                z = noise[k - k0, :len(cols)] if ncol is None else noise[k - k0, ncol]
+                z = noise[k - k0] if ncol is None else noise[k - k0, ncol]
                 # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
                 np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
                 rn += np.multiply(np.multiply(sr, sqrt_dt, out=sr), z, out=sr)
@@ -281,13 +283,22 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         if disc is not None:
             ld_c[cols] = disc
 
-    nchunks = max(min(nthreads, n), -(-n // _CHUNK))
+    nchunks = max(min(nthreads, n), -(-n // _CHUNK), 1)
     bounds = np.linspace(0, n, nchunks + 1, dtype=int).tolist()
-    if nthreads == 1:
-        list(map(run, bounds[:-1], bounds[1:]))
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            list(ex.map(run, bounds[:-1], bounds[1:]))  # re-raises
+    nworkers, nb_max = min(nthreads, nchunks), min(_NOISE_BLOCK, n_steps)
+    width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+    def work(t: int) -> None:
+        bufs = (np.empty(nb_max * width),
+                np.empty((max(1, min(width, _STAGE // nb_max)), nb_max)),
+                np.empty((width, 9), dtype=np.uint64))
+        for lo, hi in zip(bounds[t:-1:nworkers], bounds[t + 1::nworkers]):
+            run(lo, hi, *bufs)
+
+    with ThreadPoolExecutor(max_workers=nworkers) as ex:
+        rest = ex.map(work, range(1, nworkers))  # submitted at once
+        work(0)  # here: a pool thread's own malloc arena adds to peak RSS
+        list(rest)  # re-raises
 
     return BatchPaths(
         path_index=idx, exploded=np.isfinite(tau), tau_hat=tau,

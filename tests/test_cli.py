@@ -126,6 +126,7 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     ("verify", "verify", {"grid_n": -1}),
     ("verify", "verify", {"grid_n": 0}),
     ("region", "region", dict(REGION, gammas=[])),
+    ("simulate", "sim", dict(SIM, n_paths=10 ** 400)),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,

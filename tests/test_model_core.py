@@ -109,9 +109,33 @@ class TestSigmaR:
                 np.where(z > 0.0, z, 1.0) ** g, p.epsilon ** g), 0.0)
             if p.vol_cap is not None:
                 want = np.minimum(np.maximum(want, 0.0), p.vol_cap)
-            assert sigma_r(xs, p).tobytes() == want.tobytes()
-            assert sigma_r(xs, p, out=out) is out
+        # the volatility grows without bound: +inf at x = +inf, or the cap
+        want[-1] = np.inf if p.vol_cap is None else p.vol_cap
+        assert sigma_r(xs, p).tobytes() == want.tobytes()
+        assert sigma_r(xs, p, out=out) is out
         assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.6, 0.75])
+    @pytest.mark.parametrize("kw", [{}, {"displacement": 0.02},
+                                    {"vol_cap": 0.05}])
+    def test_all_positive_out_matches_formula_bits(self, gamma, kw):
+        # every rate positive and finite: out takes the maskless route,
+        # with the bits of the plain formula; one zero sends it back
+        p = params(gamma=gamma, **kw)
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([rng.uniform(1e-6, 0.03, 300),
+                             rng.lognormal(-2.0, 3.0, 300),
+                             [5e-324, 1e-300, 0.01, 0.01 - 1e-17, 1e300]])
+        z = xs + p.displacement
+        want = p.sigma * z * np.minimum(z ** (gamma - 1.0),
+                                        p.epsilon ** (gamma - 1.0))
+        if p.vol_cap is not None:
+            want = np.minimum(np.maximum(want, 0.0), p.vol_cap)
+        out = np.full_like(xs, np.nan)
+        assert sigma_r(xs, p, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        xs[7], want[7] = -p.displacement, 0.0
+        assert sigma_r(xs, p, out=out).tobytes() == want.tobytes()
 
     @given(gamma=st.floats(0.05, 1.0), sigma=st.floats(0.01, 2.0),
            eps=st.floats(1e-4, 0.5))

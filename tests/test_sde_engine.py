@@ -31,7 +31,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"dt": -0.1}, {"horizon": 0.005}, {"n_paths": 0},
         {"record_stride": 0}, {"explosion_threshold": -1.0},
-        {"horizon": math.inf},
+        {"horizon": math.inf}, {"n_paths": 2 ** 63}, {"n_paths": 10 ** 400},
     ])
     def test_invalid(self, kw):
         base = dict(dt=0.01, horizon=1.0, n_paths=10, seed=1)
@@ -158,6 +158,14 @@ class TestDeterminism:
             assert (tau, r, y) == (batch.tau_hat[pos], batch.terminal_r[pos],
                                    batch.terminal_y[pos])
 
+    @pytest.mark.parametrize("stage", [eng._NOISE_BLOCK, 10 ** 9],
+                             ids=["one_path", "wider_than_chunk"])
+    def test_stage_budgets(self, monkeypatch, stage):
+        # a noise stage of one path row at a time, and one that holds a
+        # whole chunk, fill the same columns
+        monkeypatch.setattr(eng, "_STAGE", stage)
+        self.test_chunk_and_block_boundaries(monkeypatch)
+
     def test_negative_index_rejected(self):
         cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, seed=1)
         with pytest.raises(ConfigError):
@@ -213,6 +221,15 @@ class TestGolden:
     def test_batch_digest(self, p, curve, cfg, digest):
         batch = simulate_batch(p, curve, cfg, record=True, want_discount=True)
         assert _digest(batch) == digest
+
+    def test_pricing_shaped_digest(self, monkeypatch):
+        # criterion 10's shape: one 365-step block and the discount, over
+        # chunks of 12, 13, 12 and 13 paths that share one worker's buffers
+        monkeypatch.setattr(eng, "_CHUNK", 16)
+        cfg = SimConfig(dt=1.0 / 365.0, horizon=1.0, n_paths=50, seed=84)
+        batch = simulate_batch(params(beta=0.2), FLAT, cfg, want_discount=True)
+        assert _digest(batch) == (
+            "845c99453c5bdd0f7d31ac094c799d695ff93502695903e743905632d8912a34")
 
 
 class TestScheme:
