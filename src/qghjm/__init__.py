@@ -3,9 +3,8 @@ volatility: Monte Carlo simulation with explosion detection, the
 deterministic small-noise limit, explosion certificates with Lyapunov
 verification, parameter-region scans, and bond/futures pricing."""
 
-from .errors import (CollapsedBond, ConfigError, DomainError, EmptySample,
-                     GammaOutOfRange, InfeasibleWedge, QGHJMError,
-                     UnsupportedGamma)
+from .errors import (CollapsedBond, ConfigError, DomainError, GammaOutOfRange,
+                     InfeasibleWedge, QGHJMError, UnsupportedGamma)
 from .explosion_criteria import (A5Report, ConditionReport, DeltaPair,
                                  LyapunovSpec, R0Threshold, RegionCurve,
                                  VerificationReport, VerifyGrid, WedgeSlopes,
@@ -22,9 +21,9 @@ from .ode_limit import OdeResult, beta_critical, fixed_point_r, ode_integrate
 from .pricing import (discount_consistency_check, discount_estimate,
                       eurodollar_futures, futures_config, futures_estimate,
                       g_factor, libor, zcb_price)
-from .sde_engine import (BatchPaths, McEstimate, OnExplosion, PathResult,
-                         SimConfig, expectation_functional,
-                         explosion_probability, pathwise_discount_factors,
-                         simulate_batch, simulate_path)
+from .sde_engine import (BatchPaths, McEstimate, PathResult, SimConfig,
+                         expectation_functional, explosion_probability,
+                         pathwise_discount_factors, simulate_batch,
+                         simulate_path)
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from . import explosion_criteria as xc
 from . import ode_limit, pricing
 from . import sde_engine as eng
 from ._csv import write_rows
-from .errors import (ConfigError, GammaOutOfRange, QGHJMError, as_int,
-                     check_keys)
+from .errors import (ConfigError, GammaOutOfRange, QGHJMError, as_float,
+                     as_int, check_keys)
 from .model_core import ForwardCurve, ModelParams
 
 _PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
@@ -56,7 +56,7 @@ def _reading(what: str):
     rejects, as a config error about section what."""
     try:
         yield
-    except (ValueError, TypeError, QGHJMError) as e:
+    except (ValueError, TypeError, OverflowError, QGHJMError) as e:
         raise ConfigError(f"{what}: {e}") from None
 
 
@@ -115,28 +115,27 @@ def _write_json(path: str, obj: dict) -> None:
 def cmd_simulate(args) -> int:
     p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
     checkpoints = opts.get("checkpoints")
-    if checkpoints is None:
-        checkpoints = np.linspace(cfg.horizon / 10.0, cfg.horizon, 10)
-    with _reading("simulate"):
-        checkpoints = np.asarray(checkpoints, dtype=float).ravel()
+    if checkpoints is not None:
+        with _reading("simulate"):
+            checkpoints = [as_float(T) for T in checkpoints]
 
     batch = eng.simulate_batch(p, curve, cfg, record=True, threads=args.threads)
+    if checkpoints is None:
+        checkpoints = np.linspace(batch.t_end / 10.0, batch.t_end, 10)
+    with _reading("simulate"):  # checked before any file is written
+        frac = [eng.explosion_probability(batch, T).mean for T in checkpoints]
     with open(os.path.join(args.out, "paths.csv"), "w") as fh:
         eng.write_paths_csv(batch, fh)
     with open(os.path.join(args.out, "explosions.csv"), "w") as fh:
         eng.write_explosions_csv(batch, fh)
-    n = len(batch.path_index)
     summary = {
         "config": {"model": p.to_json(), "curve": curve.to_json(),
                    "sim": cfg.to_json()},
-        "n_paths": n,
+        "n_paths": len(batch.path_index),
         "n_exploded": int(batch.exploded.sum()),
         "explosion_fraction": float(batch.exploded.mean()),
-        "checkpoints": [
-            {"T": float(T),
-             "fraction": float(np.count_nonzero(batch.tau_hat <= T) / n)}
-            for T in checkpoints
-        ],
+        "checkpoints": [{"T": float(T), "fraction": f}
+                        for T, f in zip(checkpoints, frac)],
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
     return 0
@@ -146,13 +145,13 @@ def cmd_region(args) -> int:
     opts, = _setup(args)
     sig, span = opts["sigma"], ("start", "stop", "num")
     with _reading("region"):
-        gammas = [float(g) for g in opts["gammas"]]
+        gammas = [as_float(g) for g in opts["gammas"]]
         if isinstance(sig, dict):
             check_keys(sig, "sigma", span, span)
-            sigma_grid = np.linspace(float(sig["start"]), float(sig["stop"]),
-                                     as_int(sig["num"]))
+            sigma_grid = np.linspace(as_float(sig["start"]),
+                                     as_float(sig["stop"]), as_int(sig["num"]))
         else:
-            sigma_grid = np.asarray([float(s) for s in sig])
+            sigma_grid = np.asarray([as_float(s) for s in sig])
     if np.any(sigma_grid <= 0.0):
         raise ConfigError("sigma grid must be positive")
     if not gammas or not all(0.5 < g <= 1.0 for g in gammas):
@@ -224,9 +223,9 @@ def cmd_verify(args) -> int:
 def cmd_ode(args) -> int:
     p, curve, opts = _setup(args, "model", "curve")
     with _reading("ode"):
-        horizon = float(opts["horizon"])
-        tol = float(opts.get("tol", 1e-10))
-        blowup = float(opts.get("blowup_threshold", 1e10))
+        horizon = as_float(opts["horizon"])
+        tol = as_float(opts.get("tol", 1e-10))
+        blowup = as_float(opts.get("blowup_threshold", 1e10))
         res = ode_limit.ode_integrate(p, curve, horizon, tol,
                                       blowup_threshold=blowup)
     with open(os.path.join(args.out, "ode_trace.csv"), "w") as fh:
@@ -262,8 +261,8 @@ def _write_estimate(path: str, T: float, delta: float,
 def cmd_price(args) -> int:
     p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
     with _reading("price"):
-        T = float(opts["T"])
-        delta = float(opts["delta"])
+        T = as_float(opts["T"])
+        delta = as_float(opts["delta"])
     check = opts.get("discount_check", False)
     if not isinstance(check, bool):
         raise ConfigError(f"price: discount_check {check!r} is not a boolean")

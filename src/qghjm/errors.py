@@ -25,10 +25,6 @@ class GammaOutOfRange(QGHJMError):
     dynamics are provably non-explosive."""
 
 
-class EmptySample(QGHJMError):
-    """Every simulated path exploded, leaving no sample to average."""
-
-
 class InfeasibleWedge(QGHJMError):
     """No valid Lyapunov constants could be constructed for the requested
     parameters."""
@@ -39,11 +35,18 @@ class CollapsedBond(QGHJMError):
     rate is infinite."""
 
 
+def as_float(value) -> float:
+    """A number config value: 2 and 2.5 pass, True and "2.5" do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def as_int(value) -> int:
-    """An integer config value: 2 and 2.0 pass, 2.5 is a ConfigError."""
-    if not (isinstance(value, int) or float(value).is_integer()):
+    """An integer config value: 2 and 2.0 pass, 2.5, True and "2" do not."""
+    if not as_float(value).is_integer():
         raise ConfigError(f"expected an integer, got {value!r}")
-    return value if isinstance(value, int) else int(float(value))
+    return int(value)
 
 
 def check_keys(obj, what: str, allowed, required=()) -> dict:
@@ -60,15 +63,15 @@ def check_keys(obj, what: str, allowed, required=()) -> dict:
     return obj
 
 
-_CONVERT = {"float": float, "int": as_int,
-            "Optional[float]": lambda v: None if v is None else float(v)}
+_CONVERT = {"float": as_float, "int": as_int,
+            "Optional[float]": lambda v: None if v is None else as_float(v)}
 
 
 def from_json(cls, obj, what: str):
     """The frozen dataclass cls built from obj, a JSON object keyed by its
     fields. A field without a default is required; a value is converted
-    by the field's annotation: float, int (through as_int) or
-    Optional[float]."""
+    by the field's annotation: float, int or Optional[float] (through
+    as_float and as_int)."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     check_keys(obj, what, fields, [k for k, f in fields.items()
                                    if f.default is dataclasses.MISSING])

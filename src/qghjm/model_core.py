@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_keys, from_json
+from .errors import ConfigError, as_float, check_keys, from_json
 
 __all__ = [
     "ModelParams",
@@ -206,10 +206,10 @@ class ForwardCurve:
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "flat":
             check_keys(obj, "curve", {"kind", "lambda0"}, {"lambda0"})
-            return cls.flat(float(obj["lambda0"]))
+            return cls.flat(as_float(obj["lambda0"]))
         if kind == "tabulated":
             check_keys(obj, "curve", {"kind", "knots"}, {"knots"})
-            return cls.tabulated(obj["knots"])
+            return cls.tabulated([[as_float(x) for x in k] for k in obj["knots"]])
         raise ConfigError(f"curve kind must be 'flat' or 'tabulated', got {kind!r}")
 
 

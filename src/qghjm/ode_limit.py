@@ -48,26 +48,28 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
     """Integrate the small-noise system with blow-up detection.
 
     Uses an adaptive 8th-order embedded Runge-Kutta pair at relative
-    tolerance tol. Blow-up is declared when r crosses blowup_threshold;
-    the reported t_exp extrapolates the crossing times of the thresholds
-    X and X/100 using the square-root law t_exp - t(X) ~ C/sqrt(X) that
-    the quadratic blow-up obeys, which is stable to well under 0.01y.
+    tolerance tol >= 100 eps. Blow-up is declared when r crosses X =
+    blowup_threshold > 100 lambda(0) (shifted); t_exp extrapolates the
+    crossing times of X and X/100 by the square-root law t_exp - t(X) ~
+    C/sqrt(X) of the quadratic blow-up, stable to well under 0.01y.
     """
     if p.gamma != 1.0:
         raise UnsupportedGamma(
             f"the deterministic limit requires gamma = 1, got {p.gamma}")
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be in (0, inf), got {horizon}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    # imported here: scipy.integrate dominates the package import time
-    from scipy.integrate import solve_ivp
-
+    if not tol >= 100 * np.finfo(float).eps:  # solve_ivp's own rtol floor
+        raise DomainError(f"tol must be >= 2.22e-14, got {tol}")
     # the shifted rate on the shifted curve, as in the Euler step
     shift = p.displacement
     p0 = replace(p, displacement=0.0)
     crv = curve.shifted(shift)
     r0 = crv.lambda0
+    if not 100.0 * r0 < blowup_threshold < math.inf:  # both crossings above r0
+        raise DomainError(f"blowup_threshold must be finite and > 100 * "
+                          f"lambda(0) = {100.0 * r0}, got {blowup_threshold}")
+    # imported here: scipy.integrate dominates the package import time
+    from scipy.integrate import solve_ivp
 
     def rhs(t, z):
         lam, dlam = crv.rate_and_slope(t)
@@ -101,7 +103,7 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
         if sol.y[0, -1] >= x_lo:
             return OdeResult(exploded=True, t_exp=float(sol.t[-1]),
                              terminal=None, trace=trace)
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise DomainError(f"integration failed below {x_lo:g}: {sol.message}")
     terminal = (float(sol.y[0, -1] - shift), float(sol.y[1, -1]))
     return OdeResult(exploded=False, t_exp=math.inf, terminal=terminal,
                      trace=trace)

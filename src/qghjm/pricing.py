@@ -24,7 +24,8 @@ import numpy as np
 from .errors import CollapsedBond, ConfigError
 from .model_core import ForwardCurve, ModelParams
 from .sde_engine import (BatchPaths, McEstimate, SimConfig,
-                         _survivor_estimate, simulate_batch)
+                         _survivor_estimate, expectation_functional,
+                         pathwise_discount_factors, simulate_batch)
 
 __all__ = [
     "g_factor",
@@ -112,12 +113,13 @@ def futures_estimate(batch: BatchPaths, p: ModelParams, curve: ForwardCurve,
     """
     G = g_factor(T, T + delta, p.beta)
     lam_T = float(curve.value(T))
-    surv = ~batch.exploded
-    expo = G * (batch.terminal_r[surv] - lam_T) \
-        + 0.5 * G * G * batch.terminal_y[surv]
-    with np.errstate(over="ignore"):
-        vals = np.where(expo < 709.0, np.exp(expo), math.inf)
-    est = _survivor_estimate(vals, len(surv), True)
+
+    def payoff(r, y):
+        expo = G * (r - lam_T) + 0.5 * G * G * y
+        with np.errstate(over="ignore"):
+            return np.where(expo < 709.0, np.exp(expo), math.inf)
+
+    est = expectation_functional(batch, payoff)
     factor = curve.discount(T) / curve.discount(T + delta)
     return replace(est, mean=factor * est.mean,
                    std_error=factor * est.std_error)
@@ -133,12 +135,10 @@ def eurodollar_futures(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
 
 def discount_estimate(batch: BatchPaths) -> McEstimate:
-    """MC mean of the pathwise discount factor exp(-sum_k r_k dt) of a
-    batch simulated with want_discount. Exploded paths are excluded and
-    counted."""
-    surv = ~batch.exploded
-    return _survivor_estimate(np.exp(-batch.log_discount[surv]), len(surv),
-                              False)
+    """MC mean of the pathwise_discount_factors of a batch simulated with
+    want_discount; exploded paths are excluded and counted."""
+    dfs, exploded = pathwise_discount_factors(batch)
+    return _survivor_estimate(dfs[~exploded], len(dfs), False)
 
 
 def discount_consistency_check(p: ModelParams, curve: ForwardCurve,

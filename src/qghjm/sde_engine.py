@@ -28,14 +28,13 @@ above the explosion threshold, or a non-finite value: tau_hat is the left
 edge of that step (bias at most dt), the path keeps its last good state,
 and the live arrays are compacted on that step only.
 
-Estimators work on arrays: a payoff maps the terminal-state arrays
-(r_T, y_T) of the surviving paths to their values, and one helper gives
-the survivor mean, its standard error and the exploded count.
+The estimators read a simulated BatchPaths and never simulate: the
+explosion fraction by T, the survivors' mean of an array payoff of the
+terminal state (r_T, y_T), and the pathwise discount factors.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -44,7 +43,7 @@ from typing import Callable, Optional, Sequence, TextIO
 import numpy as np
 
 from ._csv import write_rows
-from .errors import ConfigError, EmptySample, from_json
+from .errors import ConfigError, from_json
 from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "PathResult",
     "McEstimate",
     "BatchPaths",
-    "OnExplosion",
     "simulate_path",
     "simulate_batch",
     "explosion_probability",
@@ -135,13 +133,6 @@ class McEstimate:
     n: int
     n_exploded: int
     diverged: bool
-
-
-class OnExplosion(enum.Enum):
-    """How expectation_functional treats exploded paths."""
-
-    DIVERGE = "diverge"
-    EXCLUDE = "exclude"
 
 
 @dataclass(frozen=True)
@@ -322,15 +313,14 @@ def simulate_path(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                       path_index=int(path_index))
 
 
-def explosion_probability(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
-                          T: float, *, threads: Optional[int] = None) -> McEstimate:
-    """Fraction of paths whose explosion time is at most T.
+def explosion_probability(batch: BatchPaths, T: float) -> McEstimate:
+    """Fraction of the batch's paths whose explosion time is at most T.
 
-    The standard error is the binomial surrogate sqrt(p_hat (1 - p_hat)/n).
+    T must lie in the simulated span [0, batch.t_end]. The standard error
+    is the binomial surrogate sqrt(p_hat (1 - p_hat)/n).
     """
-    if not T <= cfg.horizon:
-        raise ConfigError(f"T={T} exceeds horizon={cfg.horizon}")
-    batch = simulate_batch(p, curve, cfg, threads=threads)
+    if not 0.0 <= T <= batch.t_end:
+        raise ConfigError(f"T={T} is outside [0, t_end={batch.t_end}]")
     hits = int(np.count_nonzero(batch.tau_hat <= T))
     n = len(batch.path_index)
     p_hat = hits / n
@@ -361,41 +351,29 @@ def _survivor_estimate(vals: np.ndarray, n: int, diverge: bool) -> McEstimate:
                       diverged=diverge and n_exploded > 0)
 
 
-def expectation_functional(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
-                           payoff: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                           on_explosion: OnExplosion = OnExplosion.DIVERGE, *,
-                           threads: Optional[int] = None) -> McEstimate:
-    """Monte Carlo mean of payoff(r_T, y_T) over the terminal states.
+def expectation_functional(batch: BatchPaths, payoff: Callable[
+        [np.ndarray, np.ndarray], np.ndarray]) -> McEstimate:
+    """Monte Carlo mean of payoff(r_T, y_T) over the batch's terminal states.
 
     payoff maps the arrays of surviving terminal rates and convexities to
-    an array of values (a scalar is broadcast). DIVERGE: any explosion
-    marks the estimate diverged; the reported mean is the partial mean over
-    surviving paths. EXCLUDE: the mean covers surviving paths with the
-    exploded count reported; raises EmptySample when nothing survived.
+    an array of values (a scalar is broadcast). Any explosion marks the
+    estimate diverged; the reported mean is the partial mean over surviving
+    paths, nan when none survived.
     """
-    batch = simulate_batch(p, curve, cfg, threads=threads)
     surv = ~batch.exploded
-    if on_explosion is OnExplosion.EXCLUDE and not surv.any():
-        raise EmptySample("all paths exploded before the horizon")
     r, y = batch.terminal_r[surv], batch.terminal_y[surv]
     vals = np.broadcast_to(np.asarray(payoff(r, y), dtype=float), r.shape)
-    return _survivor_estimate(vals, len(surv),
-                              on_explosion is OnExplosion.DIVERGE)
+    return _survivor_estimate(vals, len(surv), True)
 
 
-def pathwise_discount_factors(p: ModelParams, curve: ForwardCurve,
-                              cfg: SimConfig, T: float, *,
-                              threads: Optional[int] = None
+def pathwise_discount_factors(batch: BatchPaths
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path stochastic discount factors exp(-sum_k r_k dt) up to T.
+    """Per-path stochastic discount factors exp(-sum_k r_k dt) of a batch
+    simulated with want_discount, up to batch.t_end.
 
     The sum runs over the left endpoints of every step. Returns the factor
     array and the exploded mask (factors of exploded paths are unusable).
     """
-    if not T <= cfg.horizon:
-        raise ConfigError(f"T={T} exceeds horizon={cfg.horizon}")
-    cfg_T = replace(cfg, horizon=T)
-    batch = simulate_batch(p, curve, cfg_T, want_discount=True, threads=threads)
     return np.exp(-batch.log_discount), batch.exploded
 
 

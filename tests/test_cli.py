@@ -49,6 +49,17 @@ class TestSimulate:
         assert summary["config"]["model"]["sigma"] == 0.5
         assert len(summary["checkpoints"]) == 10
 
+    def test_default_checkpoints_end_at_last_step(self, tmp_path):
+        # 333 steps of 0.003: the run, and its last checkpoint, end at 0.999
+        cfg = write_config(tmp_path / "c.json", {
+            "model": MODEL, "curve": CURVE,
+            "sim": {"dt": 0.003, "horizon": 1.0, "n_paths": 2, "seed": 1}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        Ts = [c["T"] for c in summary["checkpoints"]]
+        assert Ts == list(np.linspace(333 * 0.003 / 10.0, 333 * 0.003, 10))
+
     def test_reproducible_bytes(self, sim_config, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -127,6 +138,33 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     ("verify", "verify", {"grid_n": 0}),
     ("region", "region", dict(REGION, gammas=[])),
     ("simulate", "sim", dict(SIM, n_paths=10 ** 400)),
+    # checkpoints outside the simulated span [0, 1]
+    ("simulate", "simulate", {"checkpoints": [500.0]}),
+    ("simulate", "simulate", {"checkpoints": [-3.0]}),
+    # numeric strings and booleans are not numbers
+    ("simulate", "sim", dict(SIM, dt="0.01")),
+    ("simulate", "sim", dict(SIM, n_paths="50")),
+    ("simulate", "model", dict(MODEL, sigma="0.2")),
+    ("simulate", "model", dict(MODEL, sigma=True)),
+    ("price", "price", {"T": True, "delta": 0.25}),
+    ("ode", "ode", {"horizon": True}),
+    ("simulate", "sim", dict(SIM, n_paths=True)),
+    ("simulate", "simulate", {"checkpoints": [True, "50"]}),
+    ("simulate", "curve", {"kind": "flat", "lambda0": "0.1"}),
+    ("simulate", "curve", {"kind": "tabulated", "knots": [[0, 0.1], [1, "0.1"]]}),
+    ("simulate", "curve", {"kind": "tabulated", "knots": [[0, 0.1], [True, 0.1]]}),
+    ("region", "region", dict(REGION, gammas=[True])),
+    ("region", "region", dict(REGION, sigma=["0.2"])),
+    ("region", "region", dict(REGION, sigma={"start": "0.1", "stop": 1.0,
+                                             "num": 3})),
+    ("ode", "ode", {"horizon": 1.0, "tol": "1e-10"}),
+    ("ode", "ode", {"horizon": 10 ** 400}),
+    # ode inputs outside ode_integrate's domain
+    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 5}),
+    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 0.01}),
+    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": -5}),
+    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 1e300}),
+    ("ode", "ode", {"horizon": 100.0, "tol": 1e-300}),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
@@ -135,6 +173,7 @@ def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     assert main([command, "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(tmp_path.glob("o/*"))  # no partial output
 
 
 class TestRegion:

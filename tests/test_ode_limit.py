@@ -101,6 +101,36 @@ class TestBlowup:
         with pytest.raises(DomainError, match="horizon"):
             ode_integrate(params(), FLAT, horizon)
 
+    @pytest.mark.parametrize("kw, what", [
+        # at or below 100 * lambda(0) = 10 the lower crossing, threshold/100,
+        # lies at or below r(0): 5 raised IndexError, 0.01 and -5 reported
+        # the step-underflow time 81.14 as a blow-up
+        ({"blowup_threshold": 5.0}, "blowup_threshold"),
+        ({"blowup_threshold": 0.01}, "blowup_threshold"),
+        ({"blowup_threshold": -5.0}, "blowup_threshold"),
+        ({"blowup_threshold": 10.0}, "blowup_threshold"),
+        ({"blowup_threshold": math.inf}, "blowup_threshold"),
+        ({"blowup_threshold": math.nan}, "blowup_threshold"),
+        # the step size underflows near t = 81.14, long before r reaches 1e298
+        ({"blowup_threshold": 1e300}, "integration failed"),
+        # below solve_ivp's floor of 100 eps
+        ({"tol": 1e-300}, "tol"),
+        ({"tol": 2e-14}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+    ])
+    def test_threshold_and_tol_outside_domain_rejected(self, kw, what):
+        p = params(beta=0.05)  # blows up at about 81.14
+        with pytest.raises(DomainError, match=what):
+            ode_integrate(p, FLAT, 100.0, **kw)
+
+    def test_threshold_is_compared_with_the_shifted_rate(self):
+        # lambda(0) + displacement = 0.15, so the floor is 15
+        p = params(displacement=0.05, beta=0.05)
+        with pytest.raises(DomainError, match="15"):
+            ode_integrate(p, FLAT, 100.0, blowup_threshold=14.0)
+        assert ode_integrate(p, FLAT, 100.0, blowup_threshold=16.0).exploded
+
 
 class TestCritical:
     def test_reported_value(self):

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from qghjm import (CollapsedBond, ConfigError, ForwardCurve, ModelParams,
                    SimConfig, discount_consistency_check, eurodollar_futures,
-                   g_factor, libor, ode_integrate, simulate_batch, zcb_price)
+                   futures_estimate, g_factor, libor, ode_integrate,
+                   simulate_batch, zcb_price)
 
 FLAT = ForwardCurve.flat(0.1)
 
@@ -181,6 +182,32 @@ class TestEurodollar:
                 assert est.std_error == pytest.approx(se, rel=1e-12)
             else:
                 assert math.isnan(est.std_error)
+
+    def test_estimate_is_the_inline_formula_bit_for_bit(self):
+        # the survivor formula futures_estimate wrote out before it went
+        # through expectation_functional; in the explosive case 5 of the
+        # 183 survivors overflow, so the mean is inf and the error nan
+        for sigma, beta, T, n, overflow in ((0.2, 0.2, 2.0, 2000, False),
+                                            (0.5, 0.0, 25.0, 400, True)):
+            p = params(sigma=sigma, beta=beta)
+            cfg = SimConfig(dt=0.02, horizon=T, n_paths=n, seed=7)
+            batch = simulate_batch(p, FLAT, cfg)
+            G = g_factor(T, T + 0.5, p.beta)
+            surv = ~batch.exploded
+            expo = G * (batch.terminal_r[surv] - float(FLAT.value(T))) \
+                + 0.5 * G * G * batch.terminal_y[surv]
+            with np.errstate(over="ignore"):
+                vals = np.where(expo < 709.0, np.exp(expo), math.inf)
+            assert np.isinf(vals).any() == overflow == batch.exploded.any()
+            se = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                  if np.all(np.isfinite(vals)) else math.nan)
+            factor = FLAT.discount(T) / FLAT.discount(T + 0.5)
+            est = futures_estimate(batch, p, FLAT, T, 0.5)
+            np.testing.assert_array_equal(
+                [est.mean, est.std_error],
+                [factor * float(vals.mean()), factor * se])
+            assert est.n_exploded == n - len(vals)
+            assert est.diverged == overflow
 
     def test_horizon_guard(self):
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=4, seed=9)

@@ -9,11 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qghjm import (ConfigError, EmptySample, ForwardCurve, ModelParams,
-                   OnExplosion, SimConfig, coefficients,
-                   expectation_functional, explosion_probability,
-                   ode_integrate, pathwise_discount_factors, sigma_r,
-                   simulate_batch, simulate_path)
+from qghjm import (ConfigError, ForwardCurve, ModelParams, SimConfig,
+                   coefficients, expectation_functional,
+                   explosion_probability, ode_integrate,
+                   pathwise_discount_factors, sigma_r, simulate_batch,
+                   simulate_path)
 from qghjm import sde_engine as eng
 from qghjm.sde_engine import write_explosions_csv, write_paths_csv
 
@@ -331,24 +331,35 @@ class TestExplosion:
 
     def test_probability_estimator(self):
         p, cfg = self.explosive()
-        est = explosion_probability(p, FLAT, cfg, 30.0)
+        batch = simulate_batch(p, FLAT, cfg)
+        est = explosion_probability(batch, 30.0)
         assert est.mean > 0.5
         assert est.n == 300
         assert est.n_exploded == round(est.mean * est.n)
         assert est.std_error == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.n))
-        early = explosion_probability(p, FLAT, cfg, 5.0)
+        early = explosion_probability(batch, 5.0)
         assert early.mean <= est.mean
 
     def test_single_quiet_path(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=4)
-        est = explosion_probability(params(), FLAT, cfg, 1.0)
+        est = explosion_probability(simulate_batch(params(), FLAT, cfg), 1.0)
         assert est.mean == 0.0 and est.n_exploded == 0
 
     def test_t_larger_than_horizon_rejected(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=4)
         with pytest.raises(ConfigError):
-            explosion_probability(params(), FLAT, cfg, 2.0)
+            explosion_probability(simulate_batch(params(), FLAT, cfg), 2.0)
+
+    def test_t_past_last_step_rejected(self):
+        # 333 steps of 0.003 end at 0.999: T in (0.999, 1.0] was never simulated
+        cfg = SimConfig(dt=0.003, horizon=1.0, n_paths=1, seed=4)
+        batch = simulate_batch(params(), FLAT, cfg)
+        assert batch.t_end < 1.0
+        assert explosion_probability(batch, batch.t_end).n == 1
+        for T in (1.0, math.nextafter(batch.t_end, 2.0), -0.5):
+            with pytest.raises(ConfigError, match="outside"):
+                explosion_probability(batch, T)
 
     def test_mean_reversion_orders_explosion_fractions(self):
         # common random numbers: same seed reuses the same noise per path
@@ -365,7 +376,8 @@ class TestExplosion:
 class TestExpectation:
     def test_constant_payoff(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=50, seed=6)
-        est = expectation_functional(params(), FLAT, cfg, lambda r, y: 1.0)
+        est = expectation_functional(simulate_batch(params(), FLAT, cfg),
+                                     lambda r, y: 1.0)
         assert est.mean == 1.0
         assert est.std_error == 0.0
         assert not est.diverged
@@ -373,7 +385,8 @@ class TestExpectation:
     def test_small_noise_terminal_matches_ode(self):
         p = params(sigma=1e-10, beta=0.1)
         cfg = SimConfig(dt=0.005, horizon=3.0, n_paths=16, seed=8)
-        est = expectation_functional(p, FLAT, cfg, lambda r, y: r)
+        est = expectation_functional(simulate_batch(p, FLAT, cfg),
+                                     lambda r, y: r)
         ode = ode_integrate(p, FLAT, 3.0, tol=1e-12)
         assert est.mean == pytest.approx(ode.terminal[0],
                                          abs=3 * est.std_error + 2e-3 * 0.005)
@@ -381,34 +394,29 @@ class TestExpectation:
     def test_diverge_flags_explosions(self):
         p = params(sigma=0.5)
         cfg = SimConfig(dt=0.02, horizon=30.0, n_paths=100, seed=14)
-        est = expectation_functional(p, FLAT, cfg, lambda r, y: r,
-                                     OnExplosion.DIVERGE)
+        est = expectation_functional(simulate_batch(p, FLAT, cfg),
+                                     lambda r, y: r)
         assert est.diverged
         assert est.n_exploded > 0
         assert math.isfinite(est.mean)
 
-    def test_exclude_counts_explosions(self):
-        p = params(sigma=0.5)
-        cfg = SimConfig(dt=0.02, horizon=30.0, n_paths=100, seed=14)
-        est = expectation_functional(p, FLAT, cfg, lambda r, y: r,
-                                     OnExplosion.EXCLUDE)
-        assert not est.diverged
-        assert est.n == 100
-        assert 0 < est.n_exploded < 100
-
-    def test_exclude_raises_when_nothing_survives(self):
+    def test_no_survivor_gives_diverged_nan(self):
         # threshold low enough that these four paths all cross it
         p = params(sigma=1.0)
         cfg = SimConfig(dt=0.01, horizon=40.0, n_paths=4, seed=15,
                         explosion_threshold=1.0)
-        with pytest.raises(EmptySample):
-            expectation_functional(p, FLAT, cfg, lambda r, y: r,
-                                   OnExplosion.EXCLUDE)
+        est = expectation_functional(simulate_batch(p, FLAT, cfg),
+                                     lambda r, y: r)
+        assert est.diverged
+        assert est.n == est.n_exploded == 4
+        assert math.isnan(est.mean) and math.isnan(est.std_error)
 
     def test_discount_factors(self):
         p = params(beta=0.3)
         cfg = SimConfig(dt=0.005, horizon=2.0, n_paths=64, seed=16)
-        dfs, exploded = pathwise_discount_factors(p, FLAT, cfg, 1.0)
+        batch = simulate_batch(p, FLAT, dataclasses.replace(cfg, horizon=1.0),
+                               want_discount=True)
+        dfs, exploded = pathwise_discount_factors(batch)
         assert not exploded.any()
         assert np.all((dfs > 0.8) & (dfs < 1.0))
 
