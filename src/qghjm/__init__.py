@@ -21,9 +21,8 @@ from .ode_limit import OdeResult, beta_critical, fixed_point_r, ode_integrate
 from .pricing import (discount_consistency_check, discount_estimate,
                       eurodollar_futures, futures_config, futures_estimate,
                       g_factor, libor, zcb_price)
-from .sde_engine import (BatchPaths, McEstimate, PathResult, SimConfig,
+from .sde_engine import (BatchPaths, McEstimate, SimConfig,
                          expectation_functional, explosion_probability,
-                         pathwise_discount_factors, simulate_batch,
-                         simulate_path)
+                         pathwise_discount_factors, simulate_batch)
 
 __version__ = "0.1.0"

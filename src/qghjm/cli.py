@@ -38,7 +38,7 @@ _SECTIONS = {
     "simulate": ({"checkpoints"}, ()),
     "region": ({"gammas", "sigma"}, ("gammas", "sigma")),
     "verify": ({"condition", "grid_n"}, ()),
-    "ode": ({"horizon", "tol", "blowup_threshold"}, ("horizon",)),
+    "ode": ({"horizon", "tol"}, ("horizon",)),
     "price": ({"T", "delta", "discount_check"}, ("T", "delta")),
 }
 
@@ -60,12 +60,12 @@ def _reading(what: str):
         raise ConfigError(f"{what}: {e}") from None
 
 
-def _setup(args, *needs: str) -> list:
+def _setup(args, *needs: str, optional: tuple = ()) -> list:
     """Check --threads, load the config and create the output directory.
 
-    Returns the parsed sections of needs (model, curve, sim; --seed applied
-    to sim, a curve lambda(0) other than the model's lambda0 rejected),
-    then the command's own section, checked against _SECTIONS.
+    Returns the parsed sections of needs and optional, None if absent
+    (model, curve, sim; --seed applied to sim, a curve lambda(0) other than
+    the model's lambda0 rejected), then the own section, per _SECTIONS.
     """
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
@@ -82,9 +82,10 @@ def _setup(args, *needs: str) -> list:
         if sect is not None:
             check_keys(sect, key, allowed=sect)
     parsed = {}
-    for key in needs:
+    for key in (*needs, *optional):
         with _reading(key):
-            parsed[key] = _PARSERS[key].from_json(raw[key])
+            parsed[key] = (None if raw.get(key) is None else
+                           _PARSERS[key].from_json(raw[key]))
     if "sim" in parsed and args.seed is not None:
         parsed["sim"] = replace(parsed["sim"], seed=args.seed)
     p, curve = parsed.get("model"), parsed.get("curve")
@@ -165,12 +166,14 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p, opts = _setup(args, "model")
+    p, curve, opts = _setup(args, "model", optional=("curve",))
     which = opts.get("condition", "II")
     with _reading("verify"):
         grid = xc.VerifyGrid(n=as_int(opts.get("grid_n", 200)))
     out: dict = {"model": p.to_json(), "condition_requested": which,
                  "c3_scale": args.c3_scale}
+    if curve is not None:  # does the flat-curve certificate carry over?
+        out["curve_comparison"] = curve.satisfies_lower_bound(p.beta)
 
     try:
         report = xc.check_condition(p, which)
@@ -225,9 +228,7 @@ def cmd_ode(args) -> int:
     with _reading("ode"):
         horizon = as_float(opts["horizon"])
         tol = as_float(opts.get("tol", 1e-10))
-        blowup = as_float(opts.get("blowup_threshold", 1e10))
-        res = ode_limit.ode_integrate(p, curve, horizon, tol,
-                                      blowup_threshold=blowup)
+        res = ode_limit.ode_integrate(p, curve, horizon, tol)
     with open(os.path.join(args.out, "ode_trace.csv"), "w") as fh:
         write_rows(fh, "t,r,y", res.trace)
     # the closed forms hold for a flat, uncapped, undisplaced model only
@@ -236,8 +237,7 @@ def cmd_ode(args) -> int:
     bc = ode_limit.beta_critical(p) if closed else None
     out = {
         "config": {"model": p.to_json(), "curve": curve.to_json(),
-                   "ode": {"horizon": horizon, "tol": tol,
-                           "blowup_threshold": blowup}},
+                   "ode": {"horizon": horizon, "tol": tol}},
         "exploded": res.exploded,
         "t_exp": res.t_exp,
         "terminal": None if res.terminal is None else
@@ -245,6 +245,8 @@ def cmd_ode(args) -> int:
         "beta_critical": bc,
         "fixed_point_r": (ode_limit.fixed_point_r(p)
                           if closed and p.beta >= bc else None),
+        "steps": res.steps,
+        "nfev": res.nfev,
     }
     _write_json(os.path.join(args.out, "ode.json"), out)
     return 0

@@ -48,10 +48,8 @@ from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = [
     "SimConfig",
-    "PathResult",
     "McEstimate",
     "BatchPaths",
-    "simulate_path",
     "simulate_batch",
     "explosion_probability",
     "expectation_functional",
@@ -103,20 +101,6 @@ class SimConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """One simulated trajectory.
-
-    samples holds rows (t, r, y) at every record_stride-th step while the
-    path was alive; tau_hat is +inf when the path never exploded.
-    """
-
-    exploded: bool
-    tau_hat: float
-    samples: np.ndarray
-    path_index: int
 
 
 @dataclass(frozen=True)
@@ -296,21 +280,6 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         terminal_r=term_r, terminal_y=term_y, t_end=n_steps * dt,
         record_times=rec_t, rec_r=rec_r, rec_y=rec_y, log_discount=ldisc,
     )
-
-
-def simulate_path(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
-                  path_index: int) -> PathResult:
-    """Simulate one path with its recorded samples.
-
-    Bit-identical to the same index inside any batch with the same seed.
-    """
-    batch = simulate_batch(p, curve, cfg, [path_index], record=True)
-    samples = np.column_stack(
-        [batch.record_times, batch.rec_r[:, 0], batch.rec_y[:, 0]])
-    return PathResult(exploded=bool(batch.exploded[0]),
-                      tau_hat=float(batch.tau_hat[0]),
-                      samples=samples[~np.isnan(samples[:, 1])],
-                      path_index=int(path_index))
 
 
 def explosion_probability(batch: BatchPaths, T: float) -> McEstimate:

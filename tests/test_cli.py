@@ -159,11 +159,9 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
                                              "num": 3})),
     ("ode", "ode", {"horizon": 1.0, "tol": "1e-10"}),
     ("ode", "ode", {"horizon": 10 ** 400}),
-    # ode inputs outside ode_integrate's domain
-    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 5}),
-    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 0.01}),
-    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": -5}),
-    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 1e300}),
+    # ode inputs outside ode_integrate's domain; the detection threshold
+    # of earlier versions is now an unknown key
+    ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 1e10}),
     ("ode", "ode", {"horizon": 100.0, "tol": 1e-300}),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
@@ -233,6 +231,22 @@ class TestVerify:
                            {"model": dict(MODEL, beta=1.0)})
         assert main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+        data = json.loads((tmp_path / "o" / "verify.json").read_text())
+        assert "curve_comparison" not in data  # no curve section given
+
+    @pytest.mark.parametrize("beta, curve, holds", [
+        (0.05, CURVE, True),
+        (0.0, {"kind": "tabulated", "knots": [[0, 0.1], [10, 0.08]]}, False),
+    ], ids=["flat", "decreasing"])
+    def test_curve_comparison(self, tmp_path, beta, curve, holds):
+        # a flat-curve certificate carries over to a curve only where
+        # lambda' + beta lambda >= beta lambda(0)
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, beta=beta), "curve": curve})
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) in (0, 3)
+        data = json.loads((tmp_path / "o" / "verify.json").read_text())
+        assert data["curve_comparison"] is holds
 
 
 class TestOde:
@@ -245,9 +259,11 @@ class TestOde:
         data = json.loads((out / "ode.json").read_text())
         assert data["exploded"]
         assert data["t_exp"] == pytest.approx(47.03, abs=0.05)
+        assert data["config"]["ode"] == {"horizon": 100.0, "tol": 1e-10}
         trace = (out / "ode_trace.csv").read_text().splitlines()
         assert trace[0] == "t,r,y"
-        assert len(trace) > 10
+        assert len(trace) == data["steps"] + 2 > 10
+        assert data["nfev"] >= 6 * data["steps"] + 1
 
     def test_converging_run_reports_fixed_point(self, tmp_path):
         cfg = write_config(tmp_path / "o.json", {
@@ -331,6 +347,20 @@ class TestImport:
                              env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_ode_runs_without_scipy(self, tmp_path):
+        # None in sys.modules makes every scipy import raise ImportError
+        cfg = write_config(tmp_path / "o.json", {
+            "model": MODEL, "curve": CURVE, "ode": {"horizon": 100.0}})
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from qghjm.cli import main; "
+                f"sys.exit(main(['ode', '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]))")
+        src = os.path.dirname(os.path.dirname(qghjm.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+        data = json.loads((tmp_path / "out" / "ode.json").read_text())
+        assert data["t_exp"] == pytest.approx(81.144, abs=1e-3)
 
 
 class TestPrice:

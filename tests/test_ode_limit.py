@@ -39,12 +39,62 @@ class TestBlowup:
         assert res.t_exp == pytest.approx(oracle, abs=1e-6)
         assert res.t_exp == pytest.approx(47.03, abs=0.05)
 
-    def test_threshold_choice_is_immaterial(self):
-        # blow-up is super-linear, so the reported time barely moves when
-        # the detection threshold shifts by two orders of magnitude
-        a = ode_integrate(params(), FLAT, 100.0, blowup_threshold=1e8)
-        b = ode_integrate(params(), FLAT, 100.0, blowup_threshold=1e10)
-        assert abs(a.t_exp - b.t_exp) < 0.01
+    @pytest.mark.parametrize("model, curve, t_exp", [
+        ({}, FLAT, 47.0306175655),
+        ({"beta": 0.05}, FLAT, 81.1443901839),
+        ({}, ForwardCurve.tabulated([[0, 0.1], [10, 0.12]]), 44.1736854556),
+        ({"displacement": 0.05}, FLAT, 38.4003384411),
+    ], ids=["flat", "readme", "tabulated", "displaced"])
+    def test_blowup_time_pinned(self, model, curve, t_exp):
+        res = ode_integrate(params(**model), curve, 100.0)
+        assert res.exploded
+        assert res.t_exp == pytest.approx(t_exp, rel=1e-8)
+
+    def test_terminal_state_pinned(self):
+        res = ode_integrate(params(beta=0.1), FLAT, 100.0)
+        assert not res.exploded
+        assert res.trace[-1, 0] == pytest.approx(100.0, rel=1e-10)
+        assert res.terminal == pytest.approx(
+            (0.136941766069, 0.00373661960684), rel=1e-8)
+
+    def test_blowup_needs_no_threshold(self):
+        # a detection threshold on r of 1e50 or more used to underflow the
+        # step size near t = 81.14 and fail; the compactified run follows
+        # r until the remainder 2u/v is within tol * t of the blow-up
+        res = ode_integrate(params(beta=0.05), FLAT, 100.0)
+        t_last, r_last = res.trace[-1, :2]
+        assert res.exploded
+        assert r_last > 1e18
+        assert 0.0 < res.t_exp - t_last <= 1e-10 * t_last
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e10, 1e100])
+    def test_blowup_time_scales_as_one_over_sigma(self, sigma):
+        # for beta = 0 sigma * t_exp depends on lambda0 only, and the
+        # compactified system is the same up to the scale of s
+        res = ode_integrate(params(sigma=sigma), FLAT, 20.0 / sigma)
+        assert sigma * res.t_exp == pytest.approx(
+            blowup_time_by_quadrature(1.0, 0.1), rel=1e-9)
+
+    def test_overflowing_drift_raises(self):
+        # sigma^2 r^2 overflows: every step is rejected until h underflows
+        with pytest.raises(DomainError, match="step size underflow"):
+            ode_integrate(params(sigma=1e200), FLAT, 100.0)
+
+    def test_tightest_tol_finishes(self):
+        tol = 100 * np.finfo(float).eps
+        res = ode_integrate(params(beta=0.05), FLAT, 100.0, tol=tol)
+        assert res.t_exp == pytest.approx(81.1443901839, rel=1e-8)
+        assert res.trace[-1, 1] > 1e20
+        p = params(beta=1.01 * beta_critical(params()))
+        res = ode_integrate(p, FLAT, 5000.0, tol=tol)
+        assert res.terminal[0] == pytest.approx(fixed_point_r(p), rel=1e-6)
+
+    def test_integrator_counts(self):
+        res = ode_integrate(params(beta=0.1), FLAT, 100.0)
+        assert res.steps == len(res.trace) - 1 > 0
+        # six new stages per attempted step after the first evaluation
+        assert (res.nfev - 1) % 6 == 0
+        assert res.nfev >= 6 * res.steps + 1
 
     def test_trace_is_finite_and_monotone_time(self):
         res = ode_integrate(params(), FLAT, 100.0)
@@ -102,18 +152,7 @@ class TestBlowup:
             ode_integrate(params(), FLAT, horizon)
 
     @pytest.mark.parametrize("kw, what", [
-        # at or below 100 * lambda(0) = 10 the lower crossing, threshold/100,
-        # lies at or below r(0): 5 raised IndexError, 0.01 and -5 reported
-        # the step-underflow time 81.14 as a blow-up
-        ({"blowup_threshold": 5.0}, "blowup_threshold"),
-        ({"blowup_threshold": 0.01}, "blowup_threshold"),
-        ({"blowup_threshold": -5.0}, "blowup_threshold"),
-        ({"blowup_threshold": 10.0}, "blowup_threshold"),
-        ({"blowup_threshold": math.inf}, "blowup_threshold"),
-        ({"blowup_threshold": math.nan}, "blowup_threshold"),
-        # the step size underflows near t = 81.14, long before r reaches 1e298
-        ({"blowup_threshold": 1e300}, "integration failed"),
-        # below solve_ivp's floor of 100 eps
+        # below the floor of 100 eps
         ({"tol": 1e-300}, "tol"),
         ({"tol": 2e-14}, "tol"),
         ({"tol": 0.0}, "tol"),
@@ -123,13 +162,6 @@ class TestBlowup:
         p = params(beta=0.05)  # blows up at about 81.14
         with pytest.raises(DomainError, match=what):
             ode_integrate(p, FLAT, 100.0, **kw)
-
-    def test_threshold_is_compared_with_the_shifted_rate(self):
-        # lambda(0) + displacement = 0.15, so the floor is 15
-        p = params(displacement=0.05, beta=0.05)
-        with pytest.raises(DomainError, match="15"):
-            ode_integrate(p, FLAT, 100.0, blowup_threshold=14.0)
-        assert ode_integrate(p, FLAT, 100.0, blowup_threshold=16.0).exploded
 
 
 class TestCritical:

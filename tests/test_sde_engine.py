@@ -12,8 +12,7 @@ import pytest
 from qghjm import (ConfigError, ForwardCurve, ModelParams, SimConfig,
                    coefficients, expectation_functional,
                    explosion_probability, ode_integrate,
-                   pathwise_discount_factors, sigma_r, simulate_batch,
-                   simulate_path)
+                   pathwise_discount_factors, sigma_r, simulate_batch)
 from qghjm import sde_engine as eng
 from qghjm.sde_engine import write_explosions_csv, write_paths_csv
 
@@ -25,6 +24,13 @@ def params(**kw):
 
 
 FLAT = ForwardCurve.flat(0.1)
+
+
+def samples(batch):
+    """Rows (t, r, y) of a one-path recorded batch while the path lived."""
+    rows = np.column_stack([batch.record_times, batch.rec_r[:, 0],
+                            batch.rec_y[:, 0]])
+    return rows[~np.isnan(rows[:, 1])]
 
 
 class TestConfig:
@@ -43,7 +49,7 @@ class TestConfig:
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=1,
                         explosion_threshold=0.5)
         with pytest.raises(ConfigError, match="explosion_threshold"):
-            simulate_path(params(), FLAT, cfg, 0)
+            simulate_batch(params(), FLAT, cfg, [0], record=True)
 
     @pytest.mark.parametrize("threads", [0, -5])
     def test_threads_below_one_rejected(self, threads):
@@ -66,10 +72,10 @@ class TestDeterminism:
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=8, seed=42)
         batch = simulate_batch(p, FLAT, cfg, record=True)
         for i in [0, 3, 7]:
-            single = simulate_path(p, FLAT, cfg, i)
-            np.testing.assert_array_equal(single.samples[:, 1],
+            single = simulate_batch(p, FLAT, cfg, [i], record=True)
+            np.testing.assert_array_equal(single.rec_r[:, 0],
                                           batch.rec_r[:, i])
-            np.testing.assert_array_equal(single.samples[:, 2],
+            np.testing.assert_array_equal(single.rec_y[:, 0],
                                           batch.rec_y[:, i])
 
     def test_launch_order_irrelevant(self):
@@ -92,9 +98,9 @@ class TestDeterminism:
     def test_same_seed_same_result(self):
         p = params()
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=3, seed=123)
-        a = simulate_path(p, FLAT, cfg, 1)
-        b = simulate_path(p, FLAT, cfg, 1)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = simulate_batch(p, FLAT, cfg, [1], record=True)
+        b = simulate_batch(p, FLAT, cfg, [1], record=True)
+        np.testing.assert_array_equal(samples(a), samples(b))
 
     def test_compaction_keeps_every_path(self):
         # deaths in several noise blocks; each path alone matches the batch
@@ -237,8 +243,8 @@ class TestScheme:
         p = params()
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=2,
                         record_stride=25)
-        res = simulate_path(p, FLAT, cfg, 0)
-        np.testing.assert_allclose(res.samples[:, 0],
+        res = simulate_batch(p, FLAT, cfg, [0], record=True)
+        np.testing.assert_allclose(samples(res)[:, 0],
                                    [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_positivity(self):
@@ -252,8 +258,8 @@ class TestScheme:
         # beta = 0: y_n accumulates sigma_r(r_j)^2 dt exactly
         p = params()
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=1, seed=11)
-        res = simulate_path(p, FLAT, cfg, 0)
-        t, r, y = res.samples.T
+        res = simulate_batch(p, FLAT, cfg, [0], record=True)
+        t, r, y = samples(res).T
         acc = 0.0
         for j in range(len(r) - 1):
             sr = sigma_r(r[j], p)
@@ -265,8 +271,8 @@ class TestScheme:
         # rounding, and the exp(-2 beta dt) kernel to O(dt^2 * n)
         p = params(beta=0.1)
         cfg = SimConfig(dt=0.01, horizon=3.0, n_paths=1, seed=13)
-        res = simulate_path(p, FLAT, cfg, 0)
-        _, r, y = res.samples.T
+        res = simulate_batch(p, FLAT, cfg, [0], record=True)
+        _, r, y = samples(res).T
         n = len(r) - 1
         lin, expk = 0.0, 0.0
         fac_lin = 1.0 - 2.0 * p.beta * cfg.dt
@@ -284,12 +290,12 @@ class TestScheme:
         curve = ForwardCurve.tabulated([[0.0, 0.10], [2.0, 0.13], [5.0, 0.11]])
         cfg = SimConfig(dt=0.01, horizon=5.0, n_paths=1, seed=1,
                         record_stride=50)
-        res = simulate_path(p, curve, cfg, 0)
+        t, r, _ = samples(simulate_batch(p, curve, cfg, [0], record=True)).T
         ode = ode_integrate(params(sigma=1e-12, beta=0.1), curve, 5.0,
                             tol=1e-12)
-        r_ode = np.interp(res.samples[:, 0], ode.trace[:, 0], ode.trace[:, 1])
+        r_ode = np.interp(t, ode.trace[:, 0], ode.trace[:, 1])
         # explicit Euler carries O(dt) global error
-        np.testing.assert_allclose(res.samples[:, 1], r_ode, rtol=5e-3)
+        np.testing.assert_allclose(r, r_ode, rtol=5e-3)
 
     def test_halving_dt_moves_mean_by_order_dt(self):
         p = params(beta=0.5)
@@ -322,12 +328,13 @@ class TestExplosion:
         res = None
         batch = simulate_batch(p, FLAT, cfg)
         idx = int(np.flatnonzero(batch.exploded)[0])
-        res = simulate_path(p, FLAT, cfg, idx)
-        assert res.exploded
-        assert res.tau_hat <= cfg.horizon
-        assert np.all(res.samples[:, 0] <= res.tau_hat)
-        assert np.all(np.isfinite(res.samples))
-        assert np.all(res.samples[:, 1:] < cfg.explosion_threshold)
+        res = simulate_batch(p, FLAT, cfg, [idx], record=True)
+        rows = samples(res)
+        assert res.exploded[0]
+        assert res.tau_hat[0] <= cfg.horizon
+        assert np.all(rows[:, 0] <= res.tau_hat[0])
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[:, 1:] < cfg.explosion_threshold)
 
     def test_probability_estimator(self):
         p, cfg = self.explosive()
