@@ -3,7 +3,7 @@ volatility: Monte Carlo simulation with explosion detection, the
 deterministic small-noise limit, explosion certificates with Lyapunov
 verification, parameter-region scans, and bond/futures pricing."""
 
-from .errors import (CollapsedBond, ConfigError, DomainError, GammaOutOfRange,
+from .errors import (ConfigError, DomainError, GammaOutOfRange,
                      InfeasibleWedge, QGHJMError, UnsupportedGamma)
 from .explosion_criteria import (A5Report, ConditionReport, DeltaPair,
                                  LyapunovSpec, R0Threshold, RegionCurve,
@@ -20,7 +20,7 @@ from .model_core import (ForwardCurve, ModelParams, SmoothField, coefficients,
 from .ode_limit import OdeResult, beta_critical, fixed_point_r, ode_integrate
 from .pricing import (discount_consistency_check, discount_estimate,
                       eurodollar_futures, futures_config, futures_estimate,
-                      g_factor, libor, zcb_price)
+                      g_factor, zcb_price)
 from .sde_engine import (BatchPaths, McEstimate, SimConfig,
                          expectation_functional, explosion_probability,
                          pathwise_discount_factors, simulate_batch)

@@ -30,11 +30,6 @@ class InfeasibleWedge(QGHJMError):
     parameters."""
 
 
-class CollapsedBond(QGHJMError):
-    """A zero-coupon bond price underflowed to zero, so the implied simple
-    rate is infinite."""
-
-
 def as_float(value) -> float:
     """A number config value: 2 and 2.5 pass, True and "2.5" do not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

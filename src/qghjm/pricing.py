@@ -1,16 +1,17 @@
-"""Bond and futures pricing from the (x, y) state, with explosion-collapse
-diagnostics.
+"""Bond and futures pricing from the (x, y) state.
 
 The zero-coupon bond price is
 
     P(t, T) = P(0,T)/P(0,t) * exp(-G(t,T) x - (1/2) G(t,T)^2 y),
 
 with x = r - lambda(t), G(t,T) = (1 - exp(-beta (T-t)))/beta, and
-P(0, T) = ForwardCurve.discount(T). Past an explosion the bond collapses
-to zero and the simple rate on it blows up; the Eurodollar futures
-estimator reports this through the diverged flag rather than a number.
-The Monte Carlo estimates are array computations over one simulated batch,
-so a single simulation up to T serves the futures and the discount check.
+P(0, T) = ForwardCurve.discount(T). The two instruments part ways when r
+explodes. A bond stays finite: on an exploded path it collapses to 0, so
+the discount estimate averages every path with exploded paths at 0. The
+Eurodollar futures price E[1/P(T, T+delta)] diverges: its estimate is the
+survivors' mean, flagged diverged. Both estimates read one simulated
+batch, so a single simulation up to T serves the futures and the discount
+check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CollapsedBond, ConfigError
+from .errors import ConfigError
 from .model_core import ForwardCurve, ModelParams
 from .sde_engine import (BatchPaths, McEstimate, SimConfig,
                          _survivor_estimate, expectation_functional,
@@ -30,7 +31,6 @@ from .sde_engine import (BatchPaths, McEstimate, SimConfig,
 __all__ = [
     "g_factor",
     "zcb_price",
-    "libor",
     "futures_config",
     "futures_estimate",
     "eurodollar_futures",
@@ -55,36 +55,24 @@ def g_factor(t: float, T: float, beta: float) -> float:
     return -math.expm1(-beta * tau) / beta
 
 
-def zcb_price(t: float, T: float, x: float, y: float, p: ModelParams,
-              curve: ForwardCurve) -> float:
+def _bond_exponent(G, x, y):
+    """log P(t, T) - log(P(0,T)/P(0,t)) = -G x - (1/2) G^2 y at the state
+    (x, y), where G = G(t, T)."""
+    return -G * x - 0.5 * G * G * y
+
+
+def zcb_price(t: float, T: float, x, y, p: ModelParams, curve: ForwardCurve):
     """Zero-coupon bond price from the state (x, y) at time t.
 
-    Returns exactly 0.0 when the exponent underflows, signalling the
-    collapse regime to downstream rate calculations.
+    x and y are scalars or arrays (broadcast together); a scalar state
+    gives a float. The price is exactly 0.0 where the exponent is below
+    -745, the collapse of the bond on an exploded path.
     """
-    if T < t:
-        raise ConfigError(f"T must be >= t, got t={t} T={T}")
     G = g_factor(t, T, p.beta)
-    expo = -G * x - 0.5 * G * G * y
+    expo = _bond_exponent(G, x, y)
     ratio = curve.discount(T) / curve.discount(t)
-    if expo < _UNDERFLOW_EXPONENT:
-        return 0.0
-    return ratio * math.exp(expo)
-
-
-def libor(t: float, T2: float, zcb: float) -> float:
-    """Simple rate over [t, T2] implied by the bond price:
-    (1/(T2-t)) (1/zcb - 1).
-
-    Raises CollapsedBond for a zero price, the signature of an exploded
-    path.
-    """
-    if not T2 > t:
-        raise ConfigError(f"T2 must exceed t, got t={t} T2={T2}")
-    if zcb <= 0.0:
-        raise CollapsedBond(
-            "bond price is zero; the implied simple rate is infinite")
-    return (1.0 / zcb - 1.0) / (T2 - t)
+    price = np.where(expo < _UNDERFLOW_EXPONENT, 0.0, ratio * np.exp(expo))
+    return price if price.ndim else float(price)
 
 
 def futures_config(cfg: SimConfig, T: float, delta: float) -> SimConfig:
@@ -106,16 +94,16 @@ def futures_estimate(batch: BatchPaths, p: ModelParams, curve: ForwardCurve,
 
         P(0,T)/P(0,T+delta) * E[exp(G(T,T+delta) x_T + (1/2) G^2 y_T)]
 
-    with x_T = r_T - lambda(T). Paths exploding before T make the true
-    expectation infinite; the estimate is then flagged diverged and covers
-    the surviving paths only. A surviving payoff whose exponent overflows
-    is treated as infinite.
+    with x_T = r_T - lambda(T), the exponent being the bond's negated.
+    Paths exploding before T make the true expectation infinite; the
+    estimate is then flagged diverged and covers the surviving paths only.
+    A surviving payoff whose exponent overflows is treated as infinite.
     """
     G = g_factor(T, T + delta, p.beta)
     lam_T = float(curve.value(T))
 
     def payoff(r, y):
-        expo = G * (r - lam_T) + 0.5 * G * G * y
+        expo = -_bond_exponent(G, r - lam_T, y)
         with np.errstate(over="ignore"):
             return np.where(expo < 709.0, np.exp(expo), math.inf)
 
@@ -136,9 +124,11 @@ def eurodollar_futures(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
 def discount_estimate(batch: BatchPaths) -> McEstimate:
     """MC mean of the pathwise_discount_factors of a batch simulated with
-    want_discount; exploded paths are excluded and counted."""
-    dfs, exploded = pathwise_discount_factors(batch)
-    return _survivor_estimate(dfs[~exploded], len(dfs), False)
+    want_discount, over every path: an exploded path counts as 0 and is
+    counted in n_exploded. The estimate is never diverged."""
+    dfs = pathwise_discount_factors(batch)
+    n_exploded = int(np.count_nonzero(batch.exploded))
+    return replace(_survivor_estimate(dfs, len(dfs)), n_exploded=n_exploded)
 
 
 def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
@@ -148,8 +138,8 @@ def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
 
     In an arbitrage-consistent implementation this reproduces P(0, T) up
     to discretization and sampling error, which makes it an end-to-end
-    sanity check of the simulation. Exploded paths are excluded and
-    counted.
+    sanity check of the simulation. Exploded paths count as 0; see
+    discount_estimate.
     """
     if T == 0.0:
         return McEstimate(mean=1.0, std_error=0.0, n=cfg.n_paths,

@@ -30,7 +30,8 @@ and the live arrays are compacted on that step only.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
-terminal state (r_T, y_T), and the pathwise discount factors.
+terminal state (r_T, y_T), and the pathwise discount factors, which are 0
+on exploded paths.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ class McEstimate:
     """Monte Carlo estimate with explosion accounting.
 
     n is the total number of simulated paths; n_exploded of them exploded.
-    diverged marks estimands that are undefined because exploded paths
-    contribute unbounded values (the mean then covers survivors only).
+    An estimand that stays finite through explosion (a discount factor)
+    averages all n paths. One that exploded paths make unbounded (a
+    futures payoff) averages the survivors, and diverged is set when any
+    path exploded.
     """
 
     mean: float
@@ -298,11 +301,11 @@ def explosion_probability(batch: BatchPaths, T: float) -> McEstimate:
                       n=n, n_exploded=hits, diverged=False)
 
 
-def _survivor_estimate(vals: np.ndarray, n: int, diverge: bool) -> McEstimate:
+def _survivor_estimate(vals: np.ndarray, n: int) -> McEstimate:
     """Estimate from vals, the values of the surviving paths out of n.
 
-    diverge flags the estimate diverged when any path exploded; with no
-    survivor it is diverged with a nan mean and standard error.
+    It is diverged when any path exploded, with a nan mean and standard
+    error when none survived.
     """
     m = len(vals)
     n_exploded = n - m
@@ -316,8 +319,7 @@ def _survivor_estimate(vals: np.ndarray, n: int, diverge: bool) -> McEstimate:
     else:
         se = math.nan
     return McEstimate(mean=float(vals.mean()), std_error=se, n=n,
-                      n_exploded=n_exploded,
-                      diverged=diverge and n_exploded > 0)
+                      n_exploded=n_exploded, diverged=n_exploded > 0)
 
 
 def expectation_functional(batch: BatchPaths, payoff: Callable[
@@ -332,18 +334,19 @@ def expectation_functional(batch: BatchPaths, payoff: Callable[
     surv = ~batch.exploded
     r, y = batch.terminal_r[surv], batch.terminal_y[surv]
     vals = np.broadcast_to(np.asarray(payoff(r, y), dtype=float), r.shape)
-    return _survivor_estimate(vals, len(surv), True)
+    return _survivor_estimate(vals, len(surv))
 
 
-def pathwise_discount_factors(batch: BatchPaths
-                              ) -> tuple[np.ndarray, np.ndarray]:
+def pathwise_discount_factors(batch: BatchPaths) -> np.ndarray:
     """Per-path stochastic discount factors exp(-sum_k r_k dt) of a batch
     simulated with want_discount, up to batch.t_end.
 
-    The sum runs over the left endpoints of every step. Returns the factor
-    array and the exploded mask (factors of exploded paths are unusable).
+    The sum runs over the left endpoints of every step. An exploded path's
+    factor is exactly 0.0: the bond it discounts has collapsed.
     """
-    return np.exp(-batch.log_discount), batch.exploded
+    if batch.log_discount is None:
+        raise ValueError("batch was simulated without want_discount")
+    return np.where(batch.exploded, 0.0, np.exp(-batch.log_discount))
 
 
 def write_paths_csv(batch: BatchPaths, fh: TextIO) -> None:

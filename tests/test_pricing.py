@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qghjm import (CollapsedBond, ConfigError, ForwardCurve, ModelParams,
-                   SimConfig, discount_consistency_check, eurodollar_futures,
-                   futures_estimate, g_factor, libor, ode_integrate,
-                   simulate_batch, zcb_price)
+from qghjm import (ConfigError, ForwardCurve, ModelParams, SimConfig,
+                   discount_consistency_check, discount_estimate,
+                   eurodollar_futures, futures_estimate, g_factor,
+                   ode_integrate, pathwise_discount_factors, simulate_batch,
+                   zcb_price)
 
 FLAT = ForwardCurve.flat(0.1)
 
@@ -98,23 +99,18 @@ class TestZcb:
             v = zcb_price(t, T, rng.uniform(0, 1), rng.uniform(0, 1), p, FLAT)
             assert 0.0 < v <= 1.0
 
-
-class TestLibor:
-    def test_unit_bond(self):
-        assert libor(0.0, 0.5, 1.0) == 0.0
-
-    def test_small_rate_expansion(self):
-        lam, delta = 0.02, 0.25
-        got = libor(0.0, delta, math.exp(-lam * delta))
-        assert got == pytest.approx(lam, abs=2 * lam * lam * delta)
-
-    def test_collapsed_bond(self):
-        with pytest.raises(CollapsedBond):
-            libor(0.0, 0.5, 0.0)
-
-    def test_needs_positive_accrual(self):
-        with pytest.raises(ConfigError):
-            libor(1.0, 1.0, 0.9)
+    def test_array_call_is_the_scalar_calls(self):
+        # x up to 500 puts the grid's far corner past the collapse
+        p = params()
+        xs = np.linspace(-0.5, 500.0, 13)
+        ys = np.append(0.0, np.geomspace(1e-8, 1e4, 9))
+        for t, T in ((1.0, 11.0), (3.0, 3.0)):
+            got = zcb_price(t, T, xs[:, None], ys, p, FLAT)
+            want = [[zcb_price(t, T, float(x), float(y), p, FLAT)
+                     for y in ys] for x in xs]
+            np.testing.assert_array_equal(got, want)
+            assert all(type(v) is float for row in want for v in row)
+            assert (got == 0.0).any() == (t < T)
 
 
 class TestEurodollar:
@@ -227,6 +223,31 @@ class TestDiscountConsistency:
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=11)
         est = discount_consistency_check(p, FLAT, cfg, 1.0)
         assert est.mean == pytest.approx(math.exp(-0.1), rel=1e-10)
+
+    def test_exploded_paths_count_as_zero(self):
+        # README model: a quarter of the paths explode by T = 70, and the
+        # survivors, the low-rate paths, overprice the bond
+        p, T = params(beta=0.05), 70.0
+        cfg = SimConfig(dt=0.02, horizon=T, n_paths=10000, seed=7)
+        batch = simulate_batch(p, FLAT, cfg, want_discount=True)
+        est = discount_estimate(batch)
+        assert est.n_exploded == np.count_nonzero(batch.exploded) >= 2000
+        assert not est.diverged
+        assert abs(est.mean - FLAT.discount(T)) < 3.0 * est.std_error
+        surv = pathwise_discount_factors(batch)[~batch.exploded]
+        se = surv.std(ddof=1) / math.sqrt(len(surv))
+        assert surv.mean() - FLAT.discount(T) > 3.0 * se
+
+    def test_bond_martingale_through_explosion(self):
+        # E[D(0, t) P(t, T)] = P(0, T), exploded paths at D(0, t) = 0
+        p, t, T = params(beta=0.05), 50.0, 70.0
+        cfg = SimConfig(dt=0.02, horizon=t, n_paths=10000, seed=11)
+        batch = simulate_batch(p, FLAT, cfg, want_discount=True)
+        vals = pathwise_discount_factors(batch) * zcb_price(
+            t, T, batch.terminal_r - FLAT.value(t), batch.terminal_y, p, FLAT)
+        assert batch.exploded.any()
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - FLAT.discount(T)) < 3.0 * se
 
     def test_reproduces_curve_price(self):
         p = params()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qghjm import (ConfigError, ForwardCurve, ModelParams, SimConfig,
-                   coefficients, expectation_functional,
+                   coefficients, discount_estimate, expectation_functional,
                    explosion_probability, ode_integrate,
                    pathwise_discount_factors, sigma_r, simulate_batch)
 from qghjm import sde_engine as eng
@@ -423,9 +423,16 @@ class TestExpectation:
         cfg = SimConfig(dt=0.005, horizon=2.0, n_paths=64, seed=16)
         batch = simulate_batch(p, FLAT, dataclasses.replace(cfg, horizon=1.0),
                                want_discount=True)
-        dfs, exploded = pathwise_discount_factors(batch)
-        assert not exploded.any()
+        dfs = pathwise_discount_factors(batch)
+        assert not batch.exploded.any()
         assert np.all((dfs > 0.8) & (dfs < 1.0))
+
+    def test_discount_factors_need_want_discount(self):
+        cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=4, seed=16)
+        batch = simulate_batch(params(), FLAT, cfg)
+        for estimator in (pathwise_discount_factors, discount_estimate):
+            with pytest.raises(ValueError, match="without want_discount"):
+                estimator(batch)
 
 
 class TestMemory:
