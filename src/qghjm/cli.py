@@ -153,8 +153,8 @@ def cmd_region(args) -> int:
                                      as_float(sig["stop"]), as_int(sig["num"]))
         else:
             sigma_grid = np.asarray([as_float(s) for s in sig])
-    if np.any(sigma_grid <= 0.0):
-        raise ConfigError("sigma grid must be positive")
+    if sigma_grid.size == 0 or np.any(sigma_grid <= 0.0):
+        raise ConfigError("sigma grid must be non-empty and positive")
     if not gammas or not all(0.5 < g <= 1.0 for g in gammas):
         raise ConfigError(f"gammas must be in (1/2, 1], got {gammas}")
     for g in gammas:

@@ -35,15 +35,17 @@ on which  kappa1 a + kappa2 b <= min{ kappa_d a^e1 b^e2,
 a R^(2g-d1-1), b R^(-d2) }  holds. Solving the three constraints gives
 the slope band
 
-    kappa1 / (R^(-d2) - kappa2)  <=  b/a  <=  (R^(2g-d1-1) - kappa1)/kappa2,
+    kappa1 / (R^(-d2) - kappa2)  <=  b/a  <=  (R^(2g-d1-1) - kappa1)/kappa2.
 
-split by the line b/a = R^(d2 (d1+2)) into an upper (region-1) and lower
-(region-2) part. The band is non-empty exactly when condition (I) holds
-at that (delta2, R); condition (II) alone guarantees only the lower slope
-to be finite. When no wedge exists anywhere, constants are instead picked
-by directly maximizing the worst-case generator slack on the verification
-grid, which succeeds on a strictly larger parameter region because the
-wedge inequalities discard several positive terms of the generator.
+With the divider D = R^(d2 (d1+2)), R^(2g-d1-1) = D R^(-d2), so the lower
+bound is at most D, and the upper at least D, each exactly when
+kappa1 + kappa2 D <= R^(2g-d1-1) (ineq1, equivalent to F(R) >= 0). The
+band is non-empty exactly when condition (I) holds at that (delta2, R),
+and then it contains D; ineq1 implies ineq2, kappa2 < R^(-d2). When no
+wedge exists anywhere, constants are instead picked by directly
+maximizing the worst-case generator slack on the verification grid,
+which succeeds on a strictly larger parameter region because the wedge
+inequalities discard several positive terms of the generator.
 """
 
 from __future__ import annotations
@@ -149,14 +151,12 @@ class LyapunovSpec:
     C: float
 
     def __post_init__(self) -> None:
-        if not (self.c1 > 0.0 and self.c2 > 0.0 and self.c3 > 0.0):
-            raise ConfigError("C1, C2, C3 must be positive")
+        vals = (self.c1, self.c2, self.c3, self.R, self.C)
+        if not all(0.0 < v < math.inf for v in vals):
+            raise ConfigError("C1, C2, C3, R and C must be positive and "
+                              f"finite, got {vals}")
         if self.c1 < (self.c2 + self.c3) * (1.0 - 1e-12):
             raise ConfigError("C1 must be at least C2 + C3")
-        if not self.R > 0.0:
-            raise ConfigError(f"R must be positive, got {self.R}")
-        if not self.C > 0.0:
-            raise ConfigError(f"C must be positive, got {self.C}")
 
     def to_json(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "c3": self.c3,
@@ -195,27 +195,27 @@ class RegionCurve:
 
 @dataclass(frozen=True)
 class WedgeSlopes:
-    """Feasible slope band b/a of the certificate wedge at one (deltas, R).
+    """Feasible slope band [slope_lo, slope_hi] of b/a in the certificate
+    wedge at one (deltas, R); both are None when the band is empty.
 
-    slope_lo and slope_hi bound the full feasible band; divider is the line
-    separating the upper (region-1) and lower (region-2) parts, recorded
-    separately when non-empty. ineq1/ineq2 report the two scalar
-    precursors: ineq1 (equivalent to F(R) >= 0) makes the band non-empty,
-    ineq2 (equivalent to G(R) >= A) only makes the lower slope finite.
+    ineq1 (equivalent to F(R) >= 0) makes the band non-empty, and a
+    non-empty band contains the divider R^(d2 (d1+2)). ineq1 implies ineq2
+    (equivalent to G(R) >= A), which keeps slope_lo finite.
     """
 
-    kind: str  # "region1" | "region2" | "empty"
     slope_lo: Optional[float]
     slope_hi: Optional[float]
     divider: float
-    region1: Optional[tuple[float, float]]
-    region2: Optional[tuple[float, float]]
     ineq1_holds: bool
     ineq2_holds: bool
 
     @property
     def nonempty(self) -> bool:
-        return self.kind != "empty"
+        return self.slope_lo is not None
+
+    @property
+    def kind(self) -> str:
+        return "region1" if self.nonempty else "empty"
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,8 @@ class VerificationReport:
 class R0Threshold:
     """Initial-rate threshold for almost-sure explosion, kept in log space.
 
-    value is None when exp(log_value) would overflow (log_value > 700).
+    value is None when exp(log_value) would overflow (log_value > 700);
+    log_value is inf when e^(2R) itself overflows.
     """
 
     log_value: float
@@ -341,6 +342,13 @@ def kappas(R: float, p: ModelParams, d: DeltaPair) -> tuple[float, float]:
 # condition scans and the admissible region
 
 
+def _bracket(grid: np.ndarray, x: float) -> tuple[float, float]:
+    """The neighbours of x on a sorted grid, clamped to its ends: the
+    golden-section bracket around a grid argmax."""
+    j = int(np.searchsorted(grid, x))
+    return grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+
+
 def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
     """(sup F, deltas, R) of condition I: a log-uniform (delta2, R) grid
     search followed by golden-section refinement."""
@@ -358,17 +366,11 @@ def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
     # coordinate refinement: R at fixed delta2, then delta2 at fixed R
     for _ in range(2):
         dd = DeltaPair.from_delta2(d2_best, p.gamma)
-        j = int(np.searchsorted(r_grid, r_best))
-        r_lo = r_grid[max(j - 1, 0)]
-        r_hi = r_grid[min(j + 1, len(r_grid) - 1)]
         r_best, sup_r = golden_max(lambda R: condition_F(R, p, dd),
-                                   r_lo, r_hi, tol=_REFINE_TOL)
-        jj = int(np.searchsorted(d2_grid, d2_best))
-        d_lo = d2_grid[max(jj - 1, 0)]
-        d_hi = d2_grid[min(jj + 1, len(d2_grid) - 1)]
+                                   *_bracket(r_grid, r_best), tol=_REFINE_TOL)
         d2_best, sup = golden_max(
             lambda d2: condition_F(r_best, p, DeltaPair.from_delta2(d2, p.gamma)),
-            d_lo, d_hi, tol=_REFINE_TOL)
+            *_bracket(d2_grid, d2_best), tol=_REFINE_TOL)
         sup = max(sup, sup_r)
     return max(sup, best[0]), DeltaPair.from_delta2(d2_best, p.gamma), r_best
 
@@ -421,19 +423,17 @@ def delta2_star(sigma: float, gamma: float) -> tuple[float, float]:
     _require_gamma(gamma)
     hi = 2.0 * gamma - 1.0
 
-    def J(d2: float) -> float:
-        return float(_g_peak(d2) - 0.5 * sigma * sigma * d2 * (d2 + 1.0))
+    def J(d2):  # scalar or array
+        return _g_peak(d2) - 0.5 * sigma * sigma * d2 * (d2 + 1.0)
 
     grid = np.linspace(0.0, hi, 801)
-    vals = _g_peak(grid) - 0.5 * sigma * sigma * grid * (grid + 1.0)
+    vals = J(grid)
     i = len(vals) - 1 - int(np.argmax(vals[::-1]))  # ties -> larger delta2
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, len(grid) - 1)]
-    x, v = golden_max(J, lo_b, hi_b, tol=1e-13)
+    x, v = golden_max(J, *_bracket(grid, grid[i]), tol=1e-13)
     # boundary candidates compete exactly; larger delta2 wins ties
     cands = [(J(0.0), 0.0), (v, x), (J(hi), hi)]
     best = max(cands, key=lambda c: (c[0], c[1]))
-    return best[1], best[0]
+    return best[1], float(best[0])
 
 
 def _beta_from_objective(v: float) -> float:
@@ -465,41 +465,24 @@ def region_curve(gamma: float, sigma_grid) -> RegionCurve:
 def wedge_feasible_slopes(R: float, p: ModelParams, d: DeltaPair) -> WedgeSlopes:
     """Feasible slope band of the certificate wedge at radius R.
 
-    The three wedge constraints reduce to slope bounds
-    lo = kappa1/(R^(-d2) - kappa2) (finite only under ineq2) and
-    hi = (R^(2g-d1-1) - kappa1)/kappa2 (finite only when the numerator is
-    positive); the band [lo, hi] is non-empty exactly when ineq1 holds,
-    in which case the divider R^(d2 (d1+2)) splits it into the region-1
-    part above and the region-2 part below.
+    The three wedge constraints reduce to the slope bounds
+    lo = kappa1/(R^(-d2) - kappa2) and hi = (R^(2g-d1-1) - kappa1)/kappa2.
+    The band [lo, hi] is non-empty exactly when ineq1 holds, and ineq1
+    implies ineq2 (a positive lo); requiring both keeps a rounding tie at
+    the band's closing edge from dividing by zero.
     """
     if not R >= p.epsilon:
         raise DomainError(f"R must be >= epsilon ({p.epsilon})")
     k1, k2 = kappas(R, p, d)
-    g2 = 2.0 * d.gamma
     divider = R ** (d.delta2 * (d.delta1 + 2.0))
-    pow1 = R ** (g2 - d.delta1 - 1.0)
+    pow1 = R ** (2.0 * d.gamma - d.delta1 - 1.0)
     pow2 = R ** (-d.delta2)
-
-    ineq2 = pow2 > k2
-    s_lo = k1 / (pow2 - k2) if ineq2 else math.inf
-    s_hi = (pow1 - k1) / k2 if pow1 > k1 else -math.inf
-    ineq1 = k2 * divider <= pow1 - k1
-
-    region1 = (divider, s_hi) if ineq1 and s_hi >= divider else None
-    region2 = (s_lo, divider) if ineq2 and s_lo <= divider else None
-    if region1 is not None:
-        kind = "region1"
-    elif region2 is not None:
-        kind = "region2"
-    else:
-        kind = "empty"
-    lo = s_lo if math.isfinite(s_lo) else (divider if region1 else None)
-    hi = s_hi if math.isfinite(s_hi) else (divider if region2 else None)
-    if kind == "empty":
-        lo = hi = None
-    return WedgeSlopes(kind=kind, slope_lo=lo, slope_hi=hi, divider=divider,
-                       region1=region1, region2=region2,
-                       ineq1_holds=bool(ineq1), ineq2_holds=bool(ineq2))
+    ineq1 = bool(k2 * divider <= pow1 - k1)
+    ineq2 = bool(pow2 > k2)
+    lo, hi = ((k1 / (pow2 - k2), (pow1 - k1) / k2) if ineq1 and ineq2
+              else (None, None))
+    return WedgeSlopes(slope_lo=lo, slope_hi=hi, divider=divider,
+                       ineq1_holds=ineq1, ineq2_holds=ineq2)
 
 
 def _c_growth(p: ModelParams, d: DeltaPair) -> float:
@@ -544,12 +527,17 @@ def a5_field() -> SmoothField:
     )
 
 
-def _exterior_grid(R: float, grid: VerifyGrid) -> tuple[np.ndarray, np.ndarray]:
-    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, grid.n)
+def _log_grid(R: float, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The points (r, y) of the n x n log grid on
+    [_FLOOR * R, _L_OVER_R * R]^2 where keep(r) or keep(y) holds."""
+    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, n)
     rr, yy = np.meshgrid(g, g)
-    keep = (rr >= R) | (yy >= R)
-    r = rr[keep]
-    y = yy[keep]
+    mask = keep(rr) | keep(yy)
+    return rr[mask], yy[mask]
+
+
+def _exterior_grid(R: float, grid: VerifyGrid) -> tuple[np.ndarray, np.ndarray]:
+    r, y = _log_grid(R, grid.n, lambda v: v >= R)
     s = np.linspace(R * _FLOOR, R, grid.face_points)
     face = np.full(grid.face_points, R)
     off = np.full(grid.face_points, R * (1.0 + _FACE_OFFSET))
@@ -570,8 +558,7 @@ def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
         raise DomainError(f"spec.R must be >= epsilon ({p.epsilon})")
     if spec.C < _c_growth(p, spec.deltas) - 1e-12:
         raise DomainError("spec.C is below the admissible growth constant")
-    gr = grid or VerifyGrid()
-    r, y = _exterior_grid(spec.R, gr)
+    r, y = _exterior_grid(spec.R, grid or VerifyGrid())
     field = lyapunov_field(spec)
     lv = generator_apply(field, r, y, p)
     slack = lv - spec.C * field.value(r, y)
@@ -587,11 +574,7 @@ def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
 def _witness_wedge_spec(p: ModelParams, report: ConditionReport):
     """The midpoint-slope spec of the wedge at the witness, or None."""
     d, R = report.witness_deltas, report.witness_R
-    if d is None or R is None:
-        return None
-    R = max(R, p.epsilon)
-    w = wedge_feasible_slopes(R, p, d)
-    if not (w.nonempty and w.slope_lo <= w.slope_hi):
+    if d is None or not (w := wedge_feasible_slopes(R, p, d)).nonempty:
         return None
     return _spec_from_ab(p, d, R, 1.0, math.sqrt(w.slope_lo * w.slope_hi))
 
@@ -673,12 +656,10 @@ def scale_c3(spec: LyapunovSpec, factor: float) -> LyapunovSpec:
 
 
 def k0(spec: LyapunovSpec) -> float:
-    """Infimum of V over the exterior domain:
-    min{C1 - C2 (1+R)^(-d1) - C3, C1 - C2 - C3 (1+R)^(-d2)}."""
-    d1, d2 = spec.deltas.delta1, spec.deltas.delta2
-    R = spec.R
-    return min(spec.c1 - spec.c2 * (1.0 + R) ** (-d1) - spec.c3,
-               spec.c1 - spec.c2 - spec.c3 * (1.0 + R) ** (-d2))
+    """Infimum of V over the exterior domain, min{V(0, R), V(R, 0)}: V
+    increases in r and in y."""
+    v, R = lyapunov_field(spec).value, spec.R
+    return min(v(0.0, R), v(R, 0.0))
 
 
 def level_constants(spec: LyapunovSpec) -> dict:
@@ -704,7 +685,11 @@ def as_explosion_r0_threshold(R: float, p: ModelParams) -> R0Threshold:
     s2 = p.sigma ** 2
     core = 4.0 * p.beta * R + p.beta + s2
     log1 = 1.0 - math.log(p.beta) + math.log(core)
-    log2 = math.log(s2 / p.beta) + math.exp(2.0 * R) / s2 * core - 2.0 * R - 1.0
+    try:
+        e2r = math.exp(2.0 * R)
+    except OverflowError:  # past R ~ 354.9: the threshold is infinite
+        e2r = math.inf
+    log2 = math.log(s2 / p.beta) + e2r / s2 * core - 2.0 * R - 1.0
     log_val = max(log1, log2)
     overflow = log_val > 700.0
     return R0Threshold(log_value=log_val,
@@ -724,12 +709,7 @@ def verify_a5_function(p: ModelParams, R: float,
         raise DomainError("requires beta > 0")
     if not R > 0.0:
         raise DomainError("R must be positive")
-    gr = grid or VerifyGrid()
-    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, gr.n)
-    rr, yy = np.meshgrid(g, g)
-    keep = (rr < 2.0 * R) | (yy < 2.0 * R)
-    r = rr[keep]
-    y = yy[keep]
+    r, y = _log_grid(R, (grid or VerifyGrid()).n, lambda v: v < 2.0 * R)
     vals = generator_apply(a5_field(), r, y, p)
     i = int(np.argmax(vals))
     return A5Report(max_value=float(vals[i]),

@@ -163,6 +163,10 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     # of earlier versions is now an unknown key
     ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 1e10}),
     ("ode", "ode", {"horizon": 100.0, "tol": 1e-300}),
+    # an empty sigma grid, as a list or as a span
+    ("region", "region", dict(REGION, sigma=[])),
+    ("region", "region", dict(REGION, sigma={"start": 0.1, "stop": 1.0,
+                                             "num": 0})),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
@@ -218,6 +222,29 @@ class TestVerify:
                      "--c3-scale", "100"]) == 3
         data = json.loads((out / "verify.json").read_text())
         assert data["verification"]["violations"] > 0
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+    def test_unusable_c3_scale_exits_2(self, tmp_path, capsys, scale):
+        # an infinite C3 would make every slack NaN, and NaN never counts
+        # as a violation
+        cfg = write_config(tmp_path / "v.json", {"model": MODEL})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--c3-scale", scale]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.glob("o/*"))
+
+    def test_overflowing_threshold_at_wedge_radius(self, tmp_path):
+        # the wedge gives R = 1e4 here, where e^(2R) overflows: the
+        # threshold is written as null and the A5 sweep is skipped
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, beta=0.01)})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / "verify.json").read_text())
+        assert data["constants"]["wedge"]["kind"] == "region1"
+        assert data["r0_threshold"]["log_value"] is None
+        assert data["r0_threshold"]["overflow"]
+        assert "skipped" in data["a5"]
 
     def test_non_explosive_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.json",

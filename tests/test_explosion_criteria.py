@@ -330,16 +330,21 @@ class TestWedge:
             assert not holds_19p(1.0, 0.99 * w.slope_lo, R, p, d)
             assert not holds_19p(1.0, 1.01 * w.slope_hi, R, p, d)
 
-    def test_subwedges_partition_the_band(self):
+    def test_band_contains_the_divider(self):
+        # R^(2g-d1-1) = divider * R^(-d2), so ineq1 puts the divider
+        # between both slope bounds
         for p, d, R, w in sample_nonempty_wedges(10, seed=77):
-            assert w.region1 is not None
-            lo1, hi1 = w.region1
-            assert lo1 == pytest.approx(w.divider)
-            assert hi1 == pytest.approx(w.slope_hi)
-            if w.region2 is not None:
-                lo2, hi2 = w.region2
-                assert hi2 == pytest.approx(w.divider)
-                assert lo2 == pytest.approx(w.slope_lo)
+            assert w.slope_lo <= w.divider <= w.slope_hi
+            assert w.kind == "region1"
+
+    def test_rounding_tie_is_empty(self):
+        # at delta2 = 1e-17 every power of R = 1 rounds to 1 and kappa2 is
+        # exactly 1, so ineq1 holds only by rounding kappa1 = 2e-17 away;
+        # no slope has b R^(-d2) > kappa2 b, and lo would divide by zero
+        p = params(sigma=1.0, beta=0.0)
+        w = q.wedge_feasible_slopes(1.0, p, q.DeltaPair.from_delta2(1e-17, 1.0))
+        assert w.ineq1_holds and not w.ineq2_holds
+        assert w.kind == "empty" and w.slope_lo is None
 
 
 class TestConditionVariants:
@@ -495,6 +500,15 @@ class TestBuildAndVerify:
             q.VerifyGrid(**kw)
 
 
+class TestLyapunovSpec:
+    @pytest.mark.parametrize("field", ["c1", "c2", "c3", "R", "C"])
+    def test_infinite_constant_rejected(self, field):
+        kw = dict(c1=2.0, c2=1.0, c3=1.0, R=4.0, C=0.1,
+                  deltas=q.DeltaPair.from_delta2(0.5, 1.0))
+        with pytest.raises(q.ConfigError, match="positive and finite"):
+            q.LyapunovSpec(**dict(kw, **{field: math.inf}))
+
+
 class TestK0:
     def make_spec(self, c2, c3, R, d2=0.5):
         d = q.DeltaPair.from_delta2(d2, 1.0)
@@ -550,6 +564,14 @@ class TestAlmostSureThreshold:
     def test_beta_zero_rejected(self):
         with pytest.raises(q.DomainError):
             q.as_explosion_r0_threshold(1.0, params(beta=0.0))
+
+    def test_overflowing_exponential(self):
+        # e^(2R) overflows a double past R ~ 354.9; the wedge route reaches
+        # R = 1e4, where the threshold is infinite rather than an error
+        thr = q.as_explosion_r0_threshold(1e4, params(beta=0.01))
+        assert thr.log_value == math.inf
+        assert thr.overflow
+        assert thr.value is None
 
 
 class TestA5Function:
