@@ -8,7 +8,7 @@ numbers only, every section an object with no unknown and no missing key
 (model, sim: the ModelParams, SimConfig fields; a command's own section:
 _SECTIONS). Outputs are plot-ready CSV files plus JSON summaries that
 embed the resolved configuration. Exit codes: 0 success, 2 configuration
-error (any ConfigError), 3 condition unsatisfied or verification failure.
+error (any ConfigError), 3 no certificate or verification failure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from . import explosion_criteria as xc
 from . import ode_limit, pricing
 from . import sde_engine as eng
 from ._csv import write_rows
-from .errors import (ConfigError, GammaOutOfRange, QGHJMError, as_float,
-                     as_int, check_keys)
+from .errors import (ConfigError, GammaOutOfRange, InfeasibleWedge,
+                     QGHJMError, as_float, as_int, check_keys)
 from .model_core import ForwardCurve, ModelParams
 
 _PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
@@ -78,21 +78,20 @@ def _setup(args, *needs: str, optional: tuple = ()) -> list:
     allowed, required = _SECTIONS[cmd]
     check_keys(raw, "top-level", {*_PARSERS, *_SECTIONS},
                needs + ((cmd,) if required else ()))
-    for key, sect in raw.items():  # every section given is an object or null
-        if sect is not None:
-            check_keys(sect, key, allowed=sect)
+    for key, sect in raw.items():  # every section given is an object
+        check_keys(sect, key, allowed=sect)
     parsed = {}
     for key in (*needs, *optional):
         with _reading(key):
-            parsed[key] = (None if raw.get(key) is None else
-                           _PARSERS[key].from_json(raw[key]))
+            parsed[key] = (_PARSERS[key].from_json(raw[key]) if key in raw
+                           else None)
     if "sim" in parsed and args.seed is not None:
         parsed["sim"] = replace(parsed["sim"], seed=args.seed)
     p, curve = parsed.get("model"), parsed.get("curve")
     if p is not None and curve is not None and curve.lambda0 != p.lambda0:
         raise ConfigError(f"curve: lambda(0) = {curve.lambda0} differs "
                           f"from the model's lambda0 = {p.lambda0}")
-    opts = check_keys(raw.get(cmd) or {}, cmd, allowed, required)
+    opts = check_keys(raw.get(cmd, {}), cmd, allowed, required)
     os.makedirs(args.out, exist_ok=True)
     return [*parsed.values(), opts]
 
@@ -175,22 +174,25 @@ def cmd_verify(args) -> int:
     if curve is not None:  # does the flat-curve certificate carry over?
         out["curve_comparison"] = curve.satisfies_lower_bound(p.beta)
 
+    path = os.path.join(args.out, "verify.json")
     try:
         report = xc.check_condition(p, which)
-    except GammaOutOfRange as e:
-        out["outcome"] = f"non-explosive regime: {e}"
-        _write_json(os.path.join(args.out, "verify.json"), out)
-        print(f"non-explosive regime (gamma = {p.gamma} <= 1/2)")
+        out["condition"] = report.to_json()
+        spec = xc.build_lyapunov(p, report)  # InfeasibleWedge if unsatisfied
+    except (GammaOutOfRange, InfeasibleWedge) as e:  # no certificate
+        if isinstance(e, GammaOutOfRange):
+            out["outcome"] = f"non-explosive regime: {e}"
+            line = f"non-explosive regime (gamma = {p.gamma} <= 1/2)"
+        elif not report.satisfied:
+            out["outcome"] = "condition unsatisfied"
+            line = (f"condition {which} unsatisfied "
+                    f"(sup value {report.sup_value:.6g})")
+        else:
+            out["outcome"] = f"no feasible constants: {e}"
+            line = f"condition {which} holds, but no feasible constants"
+        _write_json(path, out)
+        print(line)
         return 3
-    out["condition"] = report.to_json()
-    if not report.satisfied:
-        out["outcome"] = "condition unsatisfied"
-        _write_json(os.path.join(args.out, "verify.json"), out)
-        print(f"condition {which} unsatisfied "
-              f"(sup value {report.sup_value:.6g})")
-        return 3
-
-    spec = xc.build_lyapunov(p, report)
     if args.c3_scale != 1.0:
         spec = xc.scale_c3(spec, args.c3_scale)
     R = spec.R
@@ -217,7 +219,7 @@ def cmd_verify(args) -> int:
                          "max_value": a5.max_value, "negative": a5.negative}
         else:
             out["a5"] = {"skipped": "r0 threshold overflows"}
-    _write_json(os.path.join(args.out, "verify.json"), out)
+    _write_json(path, out)
     print(f"min slack {rep.min_slack:.6g}, violations {rep.violations} "
           f"of {rep.n_points}")
     return 0 if rep.violations == 0 else 3

@@ -490,19 +490,10 @@ def _c_growth(p: ModelParams, d: DeltaPair) -> float:
             + 0.5 * p.sigma ** 2 * d.delta2 * (d.delta2 + 1.0))
 
 
-def _spec_from_ab(p: ModelParams, d: DeltaPair, R: float,
-                  a: float, b: float) -> LyapunovSpec:
-    q = R / (1.0 + R)
-    c2 = a / (d.delta1 * p.sigma ** 2 * q ** (d.delta1 + 1.0))
-    c3 = b / (d.delta2 * q ** (d.delta2 + 1.0))
+def _spec(p: ModelParams, d: DeltaPair, R: float,
+          c2: float, c3: float) -> LyapunovSpec:
     return LyapunovSpec(c1=c2 + c3, c2=c2, c3=c3, deltas=d, R=R,
                         C=_c_growth(p, d))
-
-
-def _spec_from_ratio(p: ModelParams, d: DeltaPair, R: float,
-                     c2_over_c3: float) -> LyapunovSpec:
-    return LyapunovSpec(c1=c2_over_c3 + 1.0, c2=c2_over_c3, c3=1.0, deltas=d,
-                        R=R, C=_c_growth(p, d))
 
 
 def lyapunov_field(spec: LyapunovSpec) -> SmoothField:
@@ -576,7 +567,10 @@ def _witness_wedge_spec(p: ModelParams, report: ConditionReport):
     d, R = report.witness_deltas, report.witness_R
     if d is None or not (w := wedge_feasible_slopes(R, p, d)).nonempty:
         return None
-    return _spec_from_ab(p, d, R, 1.0, math.sqrt(w.slope_lo * w.slope_hi))
+    q = R / (1.0 + R)  # (C2, C3) from (a, b) = (1, sqrt(lo * hi))
+    c2 = 1.0 / (d.delta1 * p.sigma ** 2 * q ** (d.delta1 + 1.0))
+    c3 = math.sqrt(w.slope_lo * w.slope_hi) / (d.delta2 * q ** (d.delta2 + 1.0))
+    return _spec(p, d, R, c2, c3)
 
 
 def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
@@ -602,37 +596,27 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     if spec is not None:
         return spec
 
-    # (2) direct slack maximization over C2/C3
+    # (2) direct slack maximization over C2/C3 at the witness, the
+    # symmetric split delta1 = delta2 and three fractions of 2*gamma - 1
     d2_hi = 2.0 * gamma - 1.0
-    candidates: list[tuple[DeltaPair, float]] = []
-
-    def add(d2: float) -> None:
-        if 0.0 < d2 < d2_hi:
-            d = DeltaPair.from_delta2(d2, gamma)
-            if d.delta1 > 1e-6:
-                candidates.append((d, max(1.0 / d2, p.epsilon)))
-
-    wd = report.witness_deltas
-    if wd is not None and wd.delta1 > 1e-6:
-        candidates.append((wd, max(report.witness_R or 1.0 / wd.delta2,
-                                   p.epsilon)))
-    add(math.sqrt(2.0 * gamma) - 1.0)  # symmetric split delta1 = delta2
-    for f in (0.25, 0.5, 0.75):
-        add(f * d2_hi)
-
-    best_spec = None
-    best_val = -math.inf
-    coarse = VerifyGrid(n=60, face_points=20)
+    candidates = [(report.witness_deltas, report.witness_R)] + [
+        (DeltaPair.from_delta2(d2, gamma), max(1.0 / d2, p.epsilon))
+        for d2 in (math.sqrt(2.0 * gamma) - 1.0,
+                   0.25 * d2_hi, 0.5 * d2_hi, 0.75 * d2_hi)
+        if 0.0 < d2 < d2_hi]
+    best_val, coarse = -math.inf, VerifyGrid(n=60, face_points=20)
     for d, R in candidates:
+        if not d.delta1 > 1e-6:
+            continue
+
         def slack_of(log_t: float, d=d, R=R) -> float:
-            spec = _spec_from_ratio(p, d, R, math.exp(log_t))
+            spec = _spec(p, d, R, math.exp(log_t), 1.0)
             return verify_generator_inequality(spec, p, coarse).min_slack
 
         lt, val = golden_max(slack_of, math.log(1e-6), math.log(1e6), tol=1e-6)
         if val > best_val:
-            best_val = val
-            best_spec = _spec_from_ratio(p, d, R, math.exp(lt))
-    if best_spec is None or best_val < 0.0:
+            best_val, best_spec = val, _spec(p, d, R, math.exp(lt), 1.0)
+    if best_val < 0.0:
         raise InfeasibleWedge(
             "no feasible Lyapunov constants found for these parameters")
     return best_spec

@@ -160,6 +160,8 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         idx = np.arange(cfg.n_paths, dtype=np.int64)
     else:
         idx = np.asarray(path_indices, dtype=np.int64)
+    if idx.size == 0:
+        raise ConfigError("path indices must not be empty")
     if np.any(idx < 0):
         raise ConfigError("path indices must be >= 0")
     n = len(idx)

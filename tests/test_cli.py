@@ -163,6 +163,11 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     # of earlier versions is now an unknown key
     ("ode", "ode", {"horizon": 100.0, "blowup_threshold": 1e10}),
     ("ode", "ode", {"horizon": 100.0, "tol": 1e-300}),
+    # null is not a section
+    ("simulate", "model", None),
+    ("simulate", "curve", None),
+    ("price", "sim", None),
+    ("verify", "model", None),
     # an empty sigma grid, as a list or as a span
     ("region", "region", dict(REGION, sigma=[])),
     ("region", "region", dict(REGION, sigma={"start": 0.1, "stop": 1.0,
@@ -245,6 +250,32 @@ class TestVerify:
         assert data["r0_threshold"]["log_value"] is None
         assert data["r0_threshold"]["overflow"]
         assert "skipped" in data["a5"]
+
+    def test_a5_sweep_runs_below_overflow(self, tmp_path):
+        # the slack route's R = sqrt(2) + 1 keeps the threshold finite
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, sigma=0.46, beta=0.04)})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / "verify.json").read_text())
+        assert not data["r0_threshold"]["overflow"]
+        assert data["r0_threshold"]["log_value"] == pytest.approx(372.70,
+                                                                  abs=0.01)
+        assert data["a5"]["negative"] is True
+
+    def test_no_feasible_constants(self, tmp_path, capsys):
+        # condition II holds, but neither a wedge nor the slack route
+        # gives constants: exit 3 with verify.json, as for the other
+        # outcomes without a certificate
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, sigma=0.1, beta=0.06)})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert "no feasible" in capsys.readouterr().out
+        data = json.loads((out / "verify.json").read_text())
+        assert data["condition"]["satisfied"]
+        assert data["outcome"].startswith("no feasible constants")
+        assert "spec" not in data
 
     def test_non_explosive_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.json",
@@ -365,6 +396,10 @@ class TestImport:
         mod = getattr(qghjm, module)
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert missing == []
+        # the package re-exports each of them, as the same object
+        stale = [name for name in mod.__all__
+                 if getattr(qghjm, name, None) is not getattr(mod, name)]
+        assert stale == []
 
     def test_cli_import_leaves_scipy_integrate_out(self):
         code = ("import sys, qghjm.cli; "

@@ -455,6 +455,22 @@ class TestBuildAndVerify:
         assert q.wedge_feasible_slopes(spec.R, p, spec.deltas).nonempty
         assert q.verify_generator_inequality(spec, p).violations == 0
 
+    def test_slack_route_keeps_the_witness(self):
+        # the wedge is empty at condition II's witness and condition I
+        # fails, so no wedge route applies; of the slack route's
+        # candidates the report's own witness wins
+        p = params(sigma=0.7, beta=0.0145, gamma=0.75)
+        rep = q.check_condition(p, "II")
+        w = q.wedge_feasible_slopes(rep.witness_R, p, rep.witness_deltas)
+        assert not w.nonempty
+        assert not q.check_condition(p, "I").satisfied
+        spec = q.build_lyapunov(p, rep)
+        assert (spec.deltas, spec.R) == (rep.witness_deltas, rep.witness_R)
+        assert spec.deltas.delta1 == pytest.approx(0.2310, abs=1e-4)
+        assert spec.R == pytest.approx(4.5767, abs=1e-4)
+        assert spec.c3 == 1.0
+        assert q.verify_generator_inequality(spec, p).violations == 0
+
     def test_unsatisfied_report_rejected(self):
         p = params(beta=1.0)
         rep = q.check_condition(p, "II")

@@ -177,6 +177,12 @@ class TestDeterminism:
         with pytest.raises(ConfigError):
             simulate_batch(params(), FLAT, cfg, [-1])
 
+    def test_empty_indices_rejected(self):
+        # an empty batch has no explosion fraction and no survivors' mean
+        cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, seed=1)
+        with pytest.raises(ConfigError, match="empty"):
+            simulate_batch(params(), FLAT, cfg, [])
+
     def test_displaced_equals_shifted_lognormal(self):
         # displaced run == shifted-curve run minus the shift, bit for bit
         a = 0.03
