@@ -114,16 +114,20 @@ def _write_json(path: str, obj: dict) -> None:
 
 def cmd_simulate(args) -> int:
     p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
+    t_end = cfg.n_steps * cfg.dt  # the batch's t_end, before simulating
     checkpoints = opts.get("checkpoints")
-    if checkpoints is not None:
-        with _reading("simulate"):
-            checkpoints = [as_float(T) for T in checkpoints]
+    if checkpoints is None:
+        checkpoints = np.linspace(t_end / 10.0, t_end, 10)
+    with _reading("simulate"):
+        checkpoints = [as_float(T) for T in checkpoints]
+        for T in checkpoints:
+            if not 0.0 <= T <= t_end:
+                raise ConfigError(f"checkpoint T={T} is outside "
+                                  f"[0, t_end={t_end}]")
 
     batch = eng.simulate_batch(p, curve, cfg, record=True, threads=args.threads)
-    if checkpoints is None:
-        checkpoints = np.linspace(batch.t_end / 10.0, batch.t_end, 10)
-    with _reading("simulate"):  # checked before any file is written
-        frac = [eng.explosion_probability(batch, T).mean for T in checkpoints]
+    n = len(batch.path_index)
+    est = [eng.explosion_probability(batch, T) for T in checkpoints]
     with open(os.path.join(args.out, "paths.csv"), "w") as fh:
         eng.write_paths_csv(batch, fh)
     with open(os.path.join(args.out, "explosions.csv"), "w") as fh:
@@ -131,11 +135,14 @@ def cmd_simulate(args) -> int:
     summary = {
         "config": {"model": p.to_json(), "curve": curve.to_json(),
                    "sim": cfg.to_json()},
-        "n_paths": len(batch.path_index),
+        "n_paths": n,
         "n_exploded": int(batch.exploded.sum()),
         "explosion_fraction": float(batch.exploded.mean()),
-        "checkpoints": [{"T": float(T), "fraction": f}
-                        for T, f in zip(checkpoints, frac)],
+        "checkpoints": [
+            {"T": T, "fraction": e.mean, "hits": e.n_exploded,
+             "std_error": e.std_error,
+             "upper95": eng.clopper_pearson_upper95(e.n_exploded, n)}
+            for T, e in zip(checkpoints, est)],
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
     return 0

@@ -15,18 +15,22 @@ Kernel
 simulate_batch runs contiguous chunks of at most about _CHUNK paths (at
 least one per thread) on their live paths only; cols holds their positions
 in the chunk. Each worker thread reuses one noise block, one path-major
-stage of _STAGE doubles and one uint64 state table for all its chunks. A
-chunk's Philox is re-keyed per path from a template state: key[1] = i for
-a path's first block of 1024 steps, then the counter, buffer and
-buffer_pos that the table carried over. A block is step-major, one column
-per path live at its start, so a step reads a whole row until a path dies
-in that block. The step evaluates model_core.coefficients into
-preallocated buffers (out=, same per-element order and bits) at the
-shifted rate on the shifted curve; the displacement is taken off every
-emitted r. A path stops at the first step whose update gives r or y at or
-above the explosion threshold, or a non-finite value: tau_hat is the left
-edge of that step (bias at most dt), the path keeps its last good state,
-and the live arrays are compacted on that step only.
+stage of _STAGE doubles and one uint64 state table for all its chunks. The
+noise block, at most 1024 steps by the widest chunk, is a private anonymous
+mapping of its own that goes back to the OS when the call returns. A
+malloc'd block just under glibc's 32 MiB ceiling for its dynamic mmap
+threshold would come from the heap and stay resident after the call, so
+back-to-back calls would stack their blocks. A chunk's Philox is re-keyed
+per path from a template state: key[1] = i for a path's first block of 1024
+steps, then the counter, buffer and buffer_pos that the table carried over.
+A block is step-major, one column per path live at its start, so a step
+reads a whole row until a path dies in that block. The step evaluates
+model_core.coefficients into preallocated buffers (out=, same per-element
+order and bits) at the shifted rate on the shifted curve; the displacement
+is taken off every emitted r. A path stops at the first step whose update
+gives r or y at or above the explosion threshold, or a non-finite value:
+tau_hat is the left edge of that step (bias at most dt), the path keeps its
+last good state, and the live arrays are compacted on that step only.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -36,14 +40,17 @@ on exploded paths.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from ._csv import write_rows
+from ._csv import CHUNK as _CSV_ROWS, append_rows, write_rows
 from .errors import ConfigError, from_json
 from .model_core import ForwardCurve, ModelParams, coefficients
 
@@ -53,6 +60,7 @@ __all__ = [
     "BatchPaths",
     "simulate_batch",
     "explosion_probability",
+    "clopper_pearson_upper95",
     "expectation_functional",
     "pathwise_discount_factors",
     "write_paths_csv",
@@ -95,6 +103,10 @@ class SimConfig:
             raise ConfigError("explosion_threshold must be > 0")
         if not self.record_stride >= 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
@@ -148,7 +160,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     paths or fewer, at least one per thread, fill disjoint slices, so the
     output is independent of scheduling. threads None means one thread.
     """
-    n_steps = int(round(cfg.horizon / cfg.dt))
+    n_steps = cfg.n_steps
     if not cfg.explosion_threshold >= 10.0 * p.lambda0:
         raise ConfigError(
             "explosion_threshold must be at least 10 * lambda0 "
@@ -269,11 +281,24 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
     def work(t: int) -> None:
-        bufs = (np.empty(nb_max * width),
-                np.empty((max(1, min(width, _STAGE // nb_max)), nb_max)),
-                np.empty((width, 9), dtype=np.uint64))
-        for lo, hi in zip(bounds[t:-1:nworkers], bounds[t + 1::nworkers]):
-            run(lo, hi, *bufs)
+        # the noise block: private anonymous memory with huge pages, as
+        # numpy asks for its own large arrays (4 KiB pages fault 512 times
+        # as often)
+        block = mmap.mmap(-1, 8 * nb_max * width, flags=mmap.MAP_PRIVATE)
+        with contextlib.suppress(AttributeError, OSError):  # Linux with THP
+            block.madvise(mmap.MADV_HUGEPAGE)
+        try:
+            bufs = (np.frombuffer(block),
+                    np.empty((max(1, min(width, _STAGE // nb_max)), nb_max)),
+                    np.empty((width, 9), dtype=np.uint64))
+            for lo, hi in zip(bounds[t:-1:nworkers], bounds[t + 1::nworkers]):
+                run(lo, hi, *bufs)
+        except BaseException as e:  # its traceback must not keep run's views
+            traceback.clear_frames(e.__traceback__)
+            raise
+        finally:
+            bufs = None  # a mapping cannot close while a view of it lives
+            block.close()
 
     with ThreadPoolExecutor(max_workers=nworkers) as ex:
         rest = ex.map(work, range(1, nworkers))  # submitted at once
@@ -301,6 +326,29 @@ def explosion_probability(batch: BatchPaths, T: float) -> McEstimate:
     return McEstimate(mean=p_hat,
                       std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
                       n=n, n_exploded=hits, diverged=False)
+
+
+def clopper_pearson_upper95(hits: int, n: int) -> float:
+    """One-sided 95% Clopper-Pearson upper bound on a binomial probability
+    from hits successes in n trials: the p at which P(X <= hits) = 0.05,
+    1 - 0.05**(1/n) at zero hits and 1 at n.
+
+    The tail is a sum of C(n, j) p^j (1-p)^(n-j) over j <= hits, in logs,
+    with log C(n, j) from one cumulative sum; it falls as p grows, so the
+    bound is bisected down to adjacent doubles.
+    """
+    j = np.arange(hits + 1)
+    log_c = np.concatenate(([0.0], np.cumsum(np.log((n - j[1:] + 1) / j[1:]))))
+    lo, hi = hits / n, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        tail = np.exp(log_c + j * math.log(mid) + (n - j) * math.log1p(-mid))
+        if tail.sum() > 0.05:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _survivor_estimate(vals: np.ndarray, n: int) -> McEstimate:
@@ -352,14 +400,22 @@ def pathwise_discount_factors(batch: BatchPaths) -> np.ndarray:
 
 
 def write_paths_csv(batch: BatchPaths, fh: TextIO) -> None:
-    """Recorded samples as CSV rows path_index,t,r,y (pre-explosion only)."""
+    """Recorded samples as CSV rows path_index,t,r,y (pre-explosion only).
+
+    The rows are built and written a group of paths at a time, so the
+    writer's memory does not grow with the number of paths.
+    """
     if batch.rec_r is None:
         raise ValueError("batch was simulated without recording")
-    alive = ~np.isnan(batch.rec_r.T)  # path-major, like the rows
-    cols = [np.broadcast_to(v, alive.shape)[alive] for v in
-            (batch.path_index[:, None], batch.record_times,
-             batch.rec_r.T, batch.rec_y.T)]
-    write_rows(fh, "path_index,t,r,y", np.column_stack(cols))
+    fh.write("path_index,t,r,y\n")
+    group = max(1, _CSV_ROWS // len(batch.record_times))
+    for lo in range(0, len(batch.path_index), group):
+        rec_r, rec_y = (a[:, lo:lo + group].T for a in (batch.rec_r, batch.rec_y))
+        alive = ~np.isnan(rec_r)  # path-major, like the rows
+        append_rows(fh, np.column_stack([
+            np.broadcast_to(v, alive.shape)[alive] for v in
+            (batch.path_index[lo:lo + group, None], batch.record_times,
+             rec_r, rec_y)]))
 
 
 def write_explosions_csv(batch: BatchPaths, fh: TextIO) -> None:

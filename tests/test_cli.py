@@ -60,6 +60,39 @@ class TestSimulate:
         Ts = [c["T"] for c in summary["checkpoints"]]
         assert Ts == list(np.linspace(333 * 0.003 / 10.0, 333 * 0.003, 10))
 
+    def test_checkpoints_state_hits_error_and_bound(self, sim_config,
+                                                     tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        tau = np.loadtxt(out / "explosions.csv", delimiter=",",
+                         skiprows=1)[:, 2]
+        n = summary["n_paths"]
+        hits = [c["hits"] for c in summary["checkpoints"]]
+        assert hits[0] == 0 < hits[-1]  # a zero count, and some explosions
+        for c in summary["checkpoints"]:
+            f = c["fraction"]
+            assert c["hits"] == np.count_nonzero(tau <= c["T"])
+            assert f == c["hits"] / n
+            assert c["std_error"] == math.sqrt(f * (1.0 - f) / n)
+            assert c["upper95"] == eng.clopper_pearson_upper95(c["hits"], n)
+            assert f < c["upper95"] < 1.0
+
+    @pytest.mark.parametrize("T", [500.0, -3.0])
+    def test_bad_checkpoint_exits_before_simulating(self, tmp_path,
+                                                    monkeypatch, T):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the checkpoints")
+
+        monkeypatch.setattr(eng, "simulate_batch", no_simulation)
+        cfg = write_config(tmp_path / "c.json", {
+            "model": MODEL, "curve": CURVE, "sim": SIM,
+            "simulate": {"checkpoints": [0.5, T]}})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not list(tmp_path.glob("o/*"))
+
     def test_reproducible_bytes(self, sim_config, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -4,11 +4,17 @@ import dataclasses
 import hashlib
 import io
 import math
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qghjm
 from qghjm import (ConfigError, ForwardCurve, ModelParams, SimConfig,
                    coefficients, discount_estimate, expectation_functional,
                    explosion_probability, ode_integrate,
@@ -386,6 +392,23 @@ class TestExplosion:
             assert fb <= f0 + 2.0 * se
 
 
+class TestClopperPearson:
+    @pytest.mark.parametrize("hits, n", [
+        (0, 1), (0, 10000), (1, 10000), (10, 10000), (3, 7), (128, 10000),
+        (5860, 10000), (9999, 10000), (50000, 100000), (2, 2 ** 40)])
+    def test_matches_beta_quantile(self, hits, n):
+        beta = pytest.importorskip("scipy.stats").beta
+        assert eng.clopper_pearson_upper95(hits, n) == pytest.approx(
+            beta.ppf(0.95, hits + 1, n - hits), rel=1e-10)
+
+    def test_zero_and_all_hits(self):
+        assert eng.clopper_pearson_upper95(0, 10000) == pytest.approx(
+            1.0 - 0.05 ** (1.0 / 10000), rel=1e-14)
+        assert eng.clopper_pearson_upper95(0, 10000) == pytest.approx(
+            3.0e-4, rel=2e-3)
+        assert eng.clopper_pearson_upper95(7, 7) == 1.0
+
+
 class TestExpectation:
     def test_constant_payoff(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=50, seed=6)
@@ -441,28 +464,94 @@ class TestExpectation:
                 estimator(batch)
 
 
+@pytest.fixture()
+def mappings(monkeypatch):
+    """(size, mapping) of every anonymous mapping the engine makes: the
+    noise blocks live there, where tracemalloc cannot see them."""
+    made, real = [], mmap.mmap
+
+    def mapping(fileno, length, *args, **kwargs):
+        made.append((length, real(fileno, length, *args, **kwargs)))
+        return made[-1][1]
+
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    return made
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
-    def test_noise_buffer_sized_to_steps(self):
+    def test_noise_buffer_sized_to_steps(self, mappings):
         # a one-step run must not hold a 1024-step noise block per path
         cfg = SimConfig(dt=0.01, horizon=0.01, n_paths=5000, seed=18)
-        tracemalloc.start()
-        try:
-            simulate_batch(params(), FLAT, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: simulate_batch(params(), FLAT, cfg))
+        mapped = sum(size for size, _ in mappings)
+        assert mappings and mapped < 10e6
         assert peak < 10e6
 
-    def test_wide_batch_noise_is_chunked(self):
+    def test_wide_batch_noise_is_chunked(self, mappings):
         # the noise block spans one path chunk, not the whole batch
         cfg = SimConfig(dt=1.0 / 365.0, horizon=1.0, n_paths=40000, seed=18)
-        tracemalloc.start()
-        try:
-            simulate_batch(params(), FLAT, cfg, want_discount=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: simulate_batch(params(), FLAT, cfg, want_discount=True))
+        mapped = sum(size for size, _ in mappings)
+        assert mappings and mapped < 60e6
         assert peak < 60e6
+
+    def test_noise_block_unmapped_on_return_and_on_error(self, mappings,
+                                                         monkeypatch):
+        cfg = SimConfig(dt=0.01, horizon=0.05, n_paths=30, seed=18)
+        simulate_batch(params(), FLAT, cfg, threads=2)
+        assert len(mappings) == 2 and all(m.closed for _, m in mappings)
+
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("in the step")
+
+        # the step's own error comes out, not the mapping's BufferError
+        monkeypatch.setattr(eng, "coefficients", fail)
+        with pytest.raises(ZeroDivisionError, match="in the step"):
+            simulate_batch(params(), FLAT, cfg)
+        assert len(mappings) == 3 and mappings[-1][1].closed
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="VmHWM of /proc/self/status, glibc malloc")
+    def test_back_to_back_calls_do_not_ratchet_rss(self):
+        # 12000 paths: noise blocks of 365 and 274 steps are 35.0 MB and
+        # 26.3 MB, on either side of glibc's 32 MiB mmap threshold ceiling;
+        # from the heap, the smaller one stays resident under the larger.
+        # The peak is VmHWM, not ru_maxrss: exec carries the spawning
+        # process's peak into the child's ru_maxrss, so pytest's would show.
+        code = textwrap.dedent("""
+            from qghjm import ForwardCurve, ModelParams, SimConfig, simulate_batch
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh
+                                if line.startswith("VmHWM:"))
+            p = ModelParams(sigma=0.2, beta=0.0, gamma=1.0, epsilon=0.01,
+                            lambda0=0.1)
+            curve = ForwardCurve.flat(0.1)
+            peaks = []
+            for _ in range(3):
+                for horizon in (1.0, 0.75):
+                    simulate_batch(p, curve, SimConfig(
+                        dt=1 / 365, horizon=horizon, n_paths=12000, seed=5))
+                peaks.append(peak_kib())
+            print(peaks[0], peaks[-1])
+        """)
+        src = os.path.dirname(os.path.dirname(qghjm.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True).stdout
+        first, last = (int(v) for v in out.split())
+        assert last - first < 5 * 1024  # KiB
 
 
 class TestCsv:
@@ -511,3 +600,29 @@ class TestCsv:
             write_paths_csv(batch, buf_p)
             write_explosions_csv(batch, buf_e)
             assert (buf_p.getvalue(), buf_e.getvalue()) == reference(batch)
+
+    def test_path_groups_keep_the_bytes(self, monkeypatch):
+        cfg = SimConfig(dt=0.02, horizon=30.0, n_paths=40, seed=19,
+                        record_stride=9)
+        batch = simulate_batch(params(sigma=0.5), FLAT, cfg, record=True)
+        assert batch.exploded.any() and not batch.exploded.all()
+        texts = []
+        for rows in (eng._CSV_ROWS, 1, 1000):  # 24, 1 and 5 paths per group
+            monkeypatch.setattr(eng, "_CSV_ROWS", rows)
+            buf = io.StringIO()
+            write_paths_csv(batch, buf)
+            texts.append(buf.getvalue())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    def test_paths_writer_memory_does_not_grow_with_paths(self):
+        class Discard:
+            def write(self, text):
+                pass
+
+        def writer_peak(n_paths):
+            cfg = SimConfig(dt=0.1, horizon=20.0, n_paths=n_paths, seed=20,
+                            record_stride=2)
+            batch = simulate_batch(params(sigma=0.5), FLAT, cfg, record=True)
+            return traced_peak(lambda: write_paths_csv(batch, Discard()))
+
+        assert writer_peak(4000) < 1.2 * writer_peak(400)
