@@ -175,7 +175,8 @@ def cmd_verify(args) -> int:
     p, curve, opts = _setup(args, "model", optional=("curve",))
     which = opts.get("condition", "II")
     with _reading("verify"):
-        grid = xc.VerifyGrid(n=as_int(opts.get("grid_n", 200)))
+        if (n := as_int(opts.get("grid_n", 200))) < 2:
+            raise ConfigError(f"grid_n must be at least 2, got {n}")
     out: dict = {"model": p.to_json(), "condition_requested": which,
                  "c3_scale": args.c3_scale}
     if curve is not None:  # does the flat-curve certificate carry over?
@@ -205,7 +206,7 @@ def cmd_verify(args) -> int:
     R = spec.R
     k1, k2 = xc.kappas(R, p, spec.deltas)
     wedge = xc.wedge_feasible_slopes(R, p, spec.deltas)
-    rep = xc.verify_generator_inequality(spec, p, grid)
+    rep = xc.verify_generator_inequality(spec, p, n)
     thr = xc.as_explosion_r0_threshold(R, p) if p.beta > 0 else None
 
     out["spec"] = spec.to_json()
@@ -221,7 +222,7 @@ def cmd_verify(args) -> int:
                                "value": thr.value, "overflow": thr.overflow}
         if not thr.overflow:
             p_as = replace(p, lambda0=thr.value)
-            a5 = xc.verify_a5_function(p_as, R, grid)
+            a5 = xc.verify_a5_function(p_as, R, n)
             out["a5"] = {"lambda0_used": thr.value,
                          "max_value": a5.max_value, "negative": a5.negative}
         else:

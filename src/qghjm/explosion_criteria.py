@@ -37,15 +37,15 @@ the slope band
 
     kappa1 / (R^(-d2) - kappa2)  <=  b/a  <=  (R^(2g-d1-1) - kappa1)/kappa2.
 
-With the divider D = R^(d2 (d1+2)), R^(2g-d1-1) = D R^(-d2), so the lower
-bound is at most D, and the upper at least D, each exactly when
-kappa1 + kappa2 D <= R^(2g-d1-1) (ineq1, equivalent to F(R) >= 0). The
-band is non-empty exactly when condition (I) holds at that (delta2, R),
-and then it contains D; ineq1 implies ineq2, kappa2 < R^(-d2). When no
-wedge exists anywhere, constants are instead picked by directly
-maximizing the worst-case generator slack on the verification grid,
-which succeeds on a strictly larger parameter region because the wedge
-inequalities discard several positive terms of the generator.
+It is non-empty exactly when condition (I) holds at that (delta2, R),
+and then it contains the divider R^(d2 (d1+2)).
+
+The wedge discards positive terms of the generator. Where it is empty,
+the slack LV - C V = C2 f + C3 g - C (C1 - C2 - C3) on rows (f, g), one
+per exterior-grid point plus far-field rows (limits along y = k r^(1+d2),
+r -> inf), gives the feasible ratios C2/C3 as one band, [max -g/f over
+f > 0, min g/(-f) over f < 0]; its geometric middle gives the constants.
+The band and the check of a spec sample the same rows; neither is a proof.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "ConditionReport",
     "RegionCurve",
     "WedgeSlopes",
-    "VerifyGrid",
     "VerificationReport",
     "R0Threshold",
     "A5Report",
@@ -102,6 +101,9 @@ _REFINE_TOL = 1e-10
 _L_OVER_R = 10.0
 _FLOOR = 1e-6
 _FACE_OFFSET = 1e-6
+_FACE_POINTS = 100
+_N_VERIFY = 200
+_FAR_K = np.geomspace(1e-8, 1e8, 801)  # far-field k, in units of C/delta2
 
 
 def _require_gamma(gamma: float) -> None:
@@ -219,23 +221,9 @@ class WedgeSlopes:
 
 
 @dataclass(frozen=True)
-class VerifyGrid:
-    """Verification grid: n x n log-spaced points on
-    [_FLOOR * R, _L_OVER_R * R]^2 outside the open square, plus face_points
-    hugging each face of the square boundary at relative offset
-    _FACE_OFFSET."""
-
-    n: int = 200
-    face_points: int = 100
-
-    def __post_init__(self) -> None:
-        if not (self.n >= 2 and self.face_points >= 1):
-            raise ConfigError(f"need n >= 2 and face_points >= 1: {self}")
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    """Grid slack statistics for the generator inequality LV - C V >= 0."""
+    """Slack statistics for the generator inequality LV - C V >= 0 over
+    the slack rows; a far-field row's point is (inf, inf)."""
 
     min_slack: float
     violations: int
@@ -496,16 +484,19 @@ def _spec(p: ModelParams, d: DeltaPair, R: float,
                         C=_c_growth(p, d))
 
 
-def lyapunov_field(spec: LyapunovSpec) -> SmoothField:
-    """V(r,y) = C1 - C2 (1+y)^(-d1) - C3 (1+r)^(-d2) with analytic partials."""
-    c1, c2, c3 = spec.c1, spec.c2, spec.c3
-    d1, d2 = spec.deltas.delta1, spec.deltas.delta2
+def _v_field(c1: float, c2: float, c3: float, d: DeltaPair) -> SmoothField:
+    d1, d2 = d.delta1, d.delta2
     return SmoothField(
         value=lambda r, y: c1 - c2 * (1.0 + y) ** (-d1) - c3 * (1.0 + r) ** (-d2),
         d_r=lambda r, y: d2 * c3 * (1.0 + r) ** (-d2 - 1.0),
         d_rr=lambda r, y: -d2 * (d2 + 1.0) * c3 * (1.0 + r) ** (-d2 - 2.0),
         d_y=lambda r, y: d1 * c2 * (1.0 + y) ** (-d1 - 1.0),
     )
+
+
+def lyapunov_field(spec: LyapunovSpec) -> SmoothField:
+    """V(r,y) = C1 - C2 (1+y)^(-d1) - C3 (1+r)^(-d2) with analytic partials."""
+    return _v_field(spec.c1, spec.c2, spec.c3, spec.deltas)
 
 
 def a5_field() -> SmoothField:
@@ -521,45 +512,64 @@ def a5_field() -> SmoothField:
 def _log_grid(R: float, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
     """The points (r, y) of the n x n log grid on
     [_FLOOR * R, _L_OVER_R * R]^2 where keep(r) or keep(y) holds."""
+    if not n >= 2:
+        raise ConfigError(f"need a grid of n >= 2 points a side, got {n}")
     g = np.geomspace(R * _FLOOR, R * _L_OVER_R, n)
     rr, yy = np.meshgrid(g, g)
     mask = keep(rr) | keep(yy)
     return rr[mask], yy[mask]
 
 
-def _exterior_grid(R: float, grid: VerifyGrid) -> tuple[np.ndarray, np.ndarray]:
-    r, y = _log_grid(R, grid.n, lambda v: v >= R)
-    s = np.linspace(R * _FLOOR, R, grid.face_points)
-    face = np.full(grid.face_points, R)
-    off = np.full(grid.face_points, R * (1.0 + _FACE_OFFSET))
+def _slack_rows(d: DeltaPair, R: float, C: float, p: ModelParams,
+                n: int = _N_VERIFY) -> tuple[np.ndarray, ...]:
+    """Points (r, y) and rows (f, g), LV - C V = C2 f + C3 g - C (C1 - C2 - C3).
+
+    The n x n exterior grid and _FACE_POINTS points on and just outside
+    each face, where f and g are the slacks of 1 - (1+y)^(-d1) and
+    1 - (1+r)^(-d2); then far-field rows at (inf, inf), where
+    sigma_r^2 ~ sigma^2 r^(2 gamma) (bounded under vol_cap) gives
+    f -> sigma^2 d1 k^(-1-d1) - C and g -> d2 k - C.
+    """
+    r, y = _log_grid(R, n, lambda v: v >= R)
+    s = np.linspace(R * _FLOOR, R, _FACE_POINTS)
+    face = np.full(_FACE_POINTS, R)
+    off = face * (1.0 + _FACE_OFFSET)
     r = np.concatenate([r, face, s, off, s])
     y = np.concatenate([y, s, face, s, off])
-    return r, y
+    f, g = (generator_apply(u, r, y, p) - C * u.value(r, y)
+            for u in (_v_field(1.0, 1.0, 0.0, d), _v_field(1.0, 0.0, 1.0, d)))
+    k = C / d.delta2 * _FAR_K
+    s2 = p.sigma ** 2 if p.vol_cap is None else 0.0
+    far = np.full(len(k), np.inf)
+    return (np.concatenate([r, far]), np.concatenate([y, far]),
+            np.concatenate([f, s2 * d.delta1 * k ** (-1.0 - d.delta1) - C]),
+            np.concatenate([g, d.delta2 * k - C]))
+
+
+def _ratio_band(f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """The ratios t = C2/C3 with t f + g >= 0 on every row: [max -g/f over
+    f > 0, min g/(-f) over f < 0], empty if a row with f = 0 has g < 0."""
+    pos, neg = f > 0.0, f < 0.0
+    if np.any(g[~pos & ~neg] < 0.0):
+        return math.inf, -math.inf
+    return (float(np.max(-g[pos] / f[pos], initial=-np.inf)),
+            float(np.min(g[neg] / -f[neg], initial=np.inf)))
 
 
 def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
-                                grid: Optional[VerifyGrid] = None
-                                ) -> VerificationReport:
-    """Evaluate LV - C*V on the exterior grid and count violations.
-
-    The slack uses the exact generator with the analytic partials of V; a
-    point violates when its slack drops below -1e-12.
-    """
+                                n: int = _N_VERIFY) -> VerificationReport:
+    """Evaluate LV - C*V on the slack rows of an n x n exterior grid and
+    count violations: rows whose slack drops below -1e-12."""
     if spec.R < p.epsilon:
         raise DomainError(f"spec.R must be >= epsilon ({p.epsilon})")
     if spec.C < _c_growth(p, spec.deltas) - 1e-12:
         raise DomainError("spec.C is below the admissible growth constant")
-    r, y = _exterior_grid(spec.R, grid or VerifyGrid())
-    field = lyapunov_field(spec)
-    lv = generator_apply(field, r, y, p)
-    slack = lv - spec.C * field.value(r, y)
+    r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p, n)
+    slack = spec.c2 * f + spec.c3 * g - spec.C * (spec.c1 - spec.c2 - spec.c3)
     i = int(np.argmin(slack))
-    return VerificationReport(
-        min_slack=float(slack[i]),
-        violations=int(np.count_nonzero(slack < -1e-12)),
-        n_points=len(slack),
-        worst_point=(float(r[i]), float(y[i])),
-    )
+    return VerificationReport(min_slack=float(slack[i]), n_points=len(slack),
+                              violations=int(np.count_nonzero(slack < -1e-12)),
+                              worst_point=(float(r[i]), float(y[i])))
 
 
 def _witness_wedge_spec(p: ModelParams, report: ConditionReport):
@@ -579,15 +589,13 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     Preference order: (1) the wedge at the report's witness, else at the
     witness of check_condition(p, "I"): the wedge band is non-empty exactly
     where F(R) >= 0, so condition I's witness finds a wedge whenever one
-    exists; (2) direct choice of C2/C3 maximizing the minimum generator
-    slack at candidate (delta2, R) pairs, for parameter regions where
-    condition II holds but no wedge exists. Raises InfeasibleWedge when
-    even the direct construction fails to produce a non-negative slack.
+    exists; (2) where no wedge exists, the first candidate (delta2, R)
+    whose ratio band has 0 < lo < hi, with C3 = 1 and C2 = sqrt(lo * hi).
+    Raises InfeasibleWedge when no candidate has such a band.
     """
     if not report.satisfied:
         raise InfeasibleWedge("condition report is not satisfied")
-    gamma = p.gamma
-    _require_gamma(gamma)
+    _require_gamma(p.gamma)
 
     # (1) wedge at a witness
     spec = _witness_wedge_spec(p, report)
@@ -596,30 +604,21 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     if spec is not None:
         return spec
 
-    # (2) direct slack maximization over C2/C3 at the witness, the
-    # symmetric split delta1 = delta2 and three fractions of 2*gamma - 1
-    d2_hi = 2.0 * gamma - 1.0
+    # (2) the ratio band at the witness, the symmetric split
+    # delta1 = delta2 and three fractions of 2*gamma - 1
+    d2_hi = 2.0 * p.gamma - 1.0
     candidates = [(report.witness_deltas, report.witness_R)] + [
-        (DeltaPair.from_delta2(d2, gamma), max(1.0 / d2, p.epsilon))
-        for d2 in (math.sqrt(2.0 * gamma) - 1.0,
+        (DeltaPair.from_delta2(d2, p.gamma), max(1.0 / d2, p.epsilon))
+        for d2 in (math.sqrt(2.0 * p.gamma) - 1.0,
                    0.25 * d2_hi, 0.5 * d2_hi, 0.75 * d2_hi)
         if 0.0 < d2 < d2_hi]
-    best_val, coarse = -math.inf, VerifyGrid(n=60, face_points=20)
     for d, R in candidates:
-        if not d.delta1 > 1e-6:
-            continue
-
-        def slack_of(log_t: float, d=d, R=R) -> float:
-            spec = _spec(p, d, R, math.exp(log_t), 1.0)
-            return verify_generator_inequality(spec, p, coarse).min_slack
-
-        lt, val = golden_max(slack_of, math.log(1e-6), math.log(1e6), tol=1e-6)
-        if val > best_val:
-            best_val, best_spec = val, _spec(p, d, R, math.exp(lt), 1.0)
-    if best_val < 0.0:
-        raise InfeasibleWedge(
-            "no feasible Lyapunov constants found for these parameters")
-    return best_spec
+        if d.delta1 > 1e-6:
+            lo, hi = _ratio_band(*_slack_rows(d, R, _c_growth(p, d), p)[2:])
+            if 0.0 < lo < hi < math.inf:
+                return _spec(p, d, R, math.sqrt(lo * hi), 1.0)
+    raise InfeasibleWedge(
+        "no feasible Lyapunov constants found for these parameters")
 
 
 def scale_c3(spec: LyapunovSpec, factor: float) -> LyapunovSpec:
@@ -682,7 +681,7 @@ def as_explosion_r0_threshold(R: float, p: ModelParams) -> R0Threshold:
 
 
 def verify_a5_function(p: ModelParams, R: float,
-                       grid: Optional[VerifyGrid] = None) -> A5Report:
+                       n: int = _N_VERIFY) -> A5Report:
     """Evaluate L V0 for V0 = exp(-r) + exp(-y) over the strip complement
     {0 < y < 2R or 0 < r < 2R}, truncated at _L_OVER_R * R.
 
@@ -693,7 +692,7 @@ def verify_a5_function(p: ModelParams, R: float,
         raise DomainError("requires beta > 0")
     if not R > 0.0:
         raise DomainError("R must be positive")
-    r, y = _log_grid(R, (grid or VerifyGrid()).n, lambda v: v < 2.0 * R)
+    r, y = _log_grid(R, n, lambda v: v < 2.0 * R)
     vals = generator_apply(a5_field(), r, y, p)
     i = int(np.argmax(vals))
     return A5Report(max_value=float(vals[i]),

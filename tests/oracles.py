@@ -74,3 +74,31 @@ def sample_nonempty_wedges(n: int, seed: int, max_tries: int = 100000):
             out.append((p, d, R, w))
     assert len(out) == n, f"only found {len(out)} wedges in {tries} tries"
     return out
+
+
+def lyapunov_slack(spec: dict, model: dict, r, y):
+    """LV - C V for V = C1 - C2 (1+y)^(-d1) - C3 (1+r)^(-d2), written out
+    from V's partials and the flat-curve generator of a model without
+    displacement or vol_cap; spec and model are the to_json() dicts."""
+    c1, c2, c3, C = spec["c1"], spec["c2"], spec["c3"], spec["C"]
+    d1, d2 = spec["delta1"], spec["delta2"]
+    sigma, beta, gamma = model["sigma"], model["beta"], model["gamma"]
+    # sigma_r = sigma r min(r^(gamma-1), eps^(gamma-1)); r > 0 on the grid
+    vol2 = (sigma * r * np.minimum(r ** (gamma - 1.0),
+                                   model["epsilon"] ** (gamma - 1.0))) ** 2
+    v_y = d1 * c2 * (1.0 + y) ** (-d1 - 1.0)
+    v_r = d2 * c3 * (1.0 + r) ** (-d2 - 1.0)
+    v_rr = -(d2 + 1.0) * v_r / (1.0 + r)
+    lv = ((vol2 - 2.0 * beta * y) * v_y
+          + (y - beta * r + beta * model["lambda0"]) * v_r + 0.5 * vol2 * v_rr)
+    return lv - C * (c1 - c2 * (1.0 + y) ** (-d1) - c3 * (1.0 + r) ** (-d2))
+
+
+def exterior_log_grid(R: float, n: int = 700, lo: float = 1e-8,
+                      hi: float = 1e20):
+    """The n x n log grid on [lo R, hi R]^2 outside the open square
+    (0, R)^2: it reaches far past any grid the package samples."""
+    g = np.geomspace(R * lo, R * hi, n)
+    rr, yy = np.meshgrid(g, g)
+    keep = (rr >= R) | (yy >= R)
+    return rr[keep], yy[keep]

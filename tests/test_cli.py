@@ -285,14 +285,15 @@ class TestVerify:
         assert "skipped" in data["a5"]
 
     def test_a5_sweep_runs_below_overflow(self, tmp_path):
-        # the slack route's R = sqrt(2) + 1 keeps the threshold finite
+        # the ratio band is non-empty at condition II's witness, so the
+        # slack route keeps its R = 2.2867, where the threshold is finite
         cfg = write_config(tmp_path / "v.json",
                            {"model": dict(MODEL, sigma=0.46, beta=0.04)})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads((out / "verify.json").read_text())
         assert not data["r0_threshold"]["overflow"]
-        assert data["r0_threshold"]["log_value"] == pytest.approx(372.70,
+        assert data["r0_threshold"]["log_value"] == pytest.approx(278.80,
                                                                   abs=0.01)
         assert data["a5"]["negative"] is True
 
@@ -309,6 +310,17 @@ class TestVerify:
         assert data["condition"]["satisfied"]
         assert data["outcome"].startswith("no feasible constants")
         assert "spec" not in data
+
+    def test_vol_cap_has_no_constants(self, tmp_path, capsys):
+        # a capped volatility cannot explode: f -> -C on the far-field
+        # rows, so no ratio C2/C3 covers the rows where g < 0 too
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, vol_cap=5.0)})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert "no feasible" in capsys.readouterr().out
+        data = json.loads((out / "verify.json").read_text())
+        assert data["outcome"].startswith("no feasible constants")
 
     def test_non_explosive_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.json",

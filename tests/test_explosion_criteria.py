@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qghjm as q
-from oracles import brute_min_fhat, holds_19p, sample_nonempty_wedges
+from oracles import (brute_min_fhat, exterior_log_grid, holds_19p,
+                     lyapunov_slack, sample_nonempty_wedges)
 
 SQ2M1 = math.sqrt(2.0) - 1.0
 
@@ -508,12 +509,90 @@ class TestBuildAndVerify:
         with pytest.raises(q.DomainError):
             q.verify_generator_inequality(low_c, p)
 
-    @pytest.mark.parametrize("kw", [{"n": 1}, {"n": 0}, {"n": -1},
-                                    {"face_points": 0}])
-    def test_degenerate_grid_rejected(self, kw):
-        # n = 0 would check the face points alone
-        with pytest.raises(q.ConfigError, match="face_points"):
-            q.VerifyGrid(**kw)
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_degenerate_grid_rejected(self, n):
+        # n = 0 would check the face and far-field rows alone
+        p = params()
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        with pytest.raises(q.ConfigError, match="n >= 2"):
+            q.verify_generator_inequality(spec, p, n)
+        with pytest.raises(q.ConfigError, match="n >= 2"):
+            q.verify_a5_function(p, 1.0, n)
+
+
+def far_slack_min(spec, p):
+    """Smallest independent LV - C V on the log grid out to 1e20 R."""
+    r, y = exterior_log_grid(spec.R)
+    return lyapunov_slack(spec.to_json(), p.to_json(), r, y).min()
+
+
+class TestRatioBand:
+    """Stage 2 of build_lyapunov: the band of ratios C2/C3 over the slack
+    rows, and the far-field rows that close it past the grid's 10 R."""
+
+    def test_readme_band_and_its_edges(self):
+        xc = q.explosion_criteria
+        p = params()
+        d, R = q.DeltaPair.from_delta2(SQ2M1, 1.0), 1.0 / SQ2M1  # sqrt2+1
+        C = xc._c_growth(p, d)
+        lo, hi = xc._ratio_band(*xc._slack_rows(d, R, C, p)[2:])
+        assert lo == pytest.approx(0.343, abs=5e-4)
+        assert hi == pytest.approx(6.51, abs=5e-3)
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        assert (spec.deltas, spec.R) == (d, R)
+        assert spec.c2 == pytest.approx(math.sqrt(lo * hi), rel=1e-12)
+        assert spec.c3 == 1.0
+        for t in (0.99 * lo, 1.01 * hi):
+            edge = q.LyapunovSpec(c1=t + 1.0, c2=t, c3=1.0, deltas=d, R=R, C=C)
+            assert q.verify_generator_inequality(edge, p).violations > 0
+        assert q.verify_generator_inequality(spec, p).violations == 0
+
+    def test_far_field_rows_reach_the_closed_form(self):
+        # along y = k r^(1+d2), r -> inf, the slack tends to
+        # C2 sigma^2 d1 k^(-1-d1) + C3 d2 k - C C1, whose infimum over k
+        # is min_F_hat; the k grid's log step bounds the gap
+        p = params()
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        d = spec.deltas
+        r, _, f, g = q.explosion_criteria._slack_rows(d, spec.R, spec.C, p)
+        far = np.isinf(r)
+        slack = spec.c2 * f[far] + spec.c3 * g[far] \
+            - spec.C * (spec.c1 - spec.c2 - spec.c3)
+        hat = q.min_F_hat(spec.c2 * p.sigma ** 2 * d.delta1,
+                          spec.c3 * d.delta2, d.delta1)
+        step = math.log(1e16) / (far.sum() - 1)
+        gap = slack.min() - (hat - spec.C * spec.c1)
+        assert -1e-12 <= gap <= 0.5 * (1.0 + d.delta1) * (step / 2) ** 2 * hat
+
+    def test_false_certificate_past_ten_r_is_gone(self):
+        # a ratio chosen on a grid cut off at 10 R, C2/C3 ~ 538, has
+        # LV - C V = -0.33 near (1.9e8, 3.0e9) here
+        p = q.ModelParams(sigma=0.673901078740194, beta=0.002558949882290202,
+                          gamma=0.5221521078941425, epsilon=0.1978223737271069,
+                          lambda0=0.3956447474542138)
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        assert far_slack_min(spec, p) >= -1e-12
+
+    def test_seeded_draw_certificates_hold_far_out(self):
+        rng = np.random.default_rng(20261019)
+        built = 0
+        for _ in range(40):
+            gamma = rng.uniform(0.5, 1.0)
+            sigma = math.exp(rng.uniform(math.log(0.03), math.log(1.45)))
+            beta = rng.uniform(0.0, 1.05 * q.beta_max(sigma, gamma))
+            eps = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+            p = q.ModelParams(sigma=sigma, beta=beta, gamma=gamma,
+                              epsilon=eps, lambda0=max(0.1, 2.0 * eps))
+            rep = q.check_condition(p, "II")
+            if not rep.satisfied:
+                continue
+            try:
+                spec = q.build_lyapunov(p, rep)
+            except q.InfeasibleWedge:
+                continue
+            built += 1
+            assert far_slack_min(spec, p) >= -1e-12, p
+        assert built >= 25
 
 
 class TestLyapunovSpec:
