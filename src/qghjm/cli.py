@@ -163,9 +163,11 @@ def cmd_region(args) -> int:
         raise ConfigError("sigma grid must be non-empty and positive")
     if not gammas or not all(0.5 < g <= 1.0 for g in gammas):
         raise ConfigError(f"gammas must be in (1/2, 1], got {gammas}")
-    for g in gammas:
+    names = [f"region_gamma_{g:g}.csv" for g in gammas]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"gammas {gammas} name the same output file twice")
+    for g, name in zip(gammas, names):
         curve = xc.region_curve(g, sigma_grid)
-        name = f"region_gamma_{g:g}.csv"
         with open(os.path.join(args.out, name), "w") as fh:
             curve.write_csv(fh)
     return 0
@@ -175,6 +177,8 @@ def cmd_verify(args) -> int:
     p, curve, opts = _setup(args, "model", optional=("curve",))
     which = opts.get("condition", "II")
     with _reading("verify"):
+        if which not in ("I", "II"):
+            raise ConfigError(f"condition must be 'I' or 'II', got {which!r}")
         if (n := as_int(opts.get("grid_n", 200))) < 2:
             raise ConfigError(f"grid_n must be at least 2, got {n}")
     out: dict = {"model": p.to_json(), "condition_requested": which,

@@ -40,12 +40,14 @@ the slope band
 It is non-empty exactly when condition (I) holds at that (delta2, R),
 and then it contains the divider R^(d2 (d1+2)).
 
-The wedge discards positive terms of the generator. Where it is empty,
-the slack LV - C V = C2 f + C3 g - C (C1 - C2 - C3) on rows (f, g), one
-per exterior-grid point plus far-field rows (limits along y = k r^(1+d2),
-r -> inf), gives the feasible ratios C2/C3 as one band, [max -g/f over
-f > 0, min g/(-f) over f < 0]; its geometric middle gives the constants.
-The band and the check of a spec sample the same rows; neither is a proof.
+The wedge discards positive terms of the generator, so it is an inner
+bound of the exact band below and is only reported. The constants come
+from the slack LV - C V = C2 f + C3 g - C (C1 - C2 - C3) on rows (f, g),
+one per exterior-grid point plus far-field rows (limits along
+y = k r^(1+d2), r -> inf): the feasible ratios C2/C3 form one band,
+[max -g/f over f > 0, min g/(-f) over f < 0], whose geometric middle
+gives the constants. The band and the check of a spec sample the same
+rows; neither is a proof.
 """
 
 from __future__ import annotations
@@ -478,12 +480,6 @@ def _c_growth(p: ModelParams, d: DeltaPair) -> float:
             + 0.5 * p.sigma ** 2 * d.delta2 * (d.delta2 + 1.0))
 
 
-def _spec(p: ModelParams, d: DeltaPair, R: float,
-          c2: float, c3: float) -> LyapunovSpec:
-    return LyapunovSpec(c1=c2 + c3, c2=c2, c3=c3, deltas=d, R=R,
-                        C=_c_growth(p, d))
-
-
 def _v_field(c1: float, c2: float, c3: float, d: DeltaPair) -> SmoothField:
     d1, d2 = d.delta1, d.delta2
     return SmoothField(
@@ -572,40 +568,18 @@ def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
                               worst_point=(float(r[i]), float(y[i])))
 
 
-def _witness_wedge_spec(p: ModelParams, report: ConditionReport):
-    """The midpoint-slope spec of the wedge at the witness, or None."""
-    d, R = report.witness_deltas, report.witness_R
-    if d is None or not (w := wedge_feasible_slopes(R, p, d)).nonempty:
-        return None
-    q = R / (1.0 + R)  # (C2, C3) from (a, b) = (1, sqrt(lo * hi))
-    c2 = 1.0 / (d.delta1 * p.sigma ** 2 * q ** (d.delta1 + 1.0))
-    c3 = math.sqrt(w.slope_lo * w.slope_hi) / (d.delta2 * q ** (d.delta2 + 1.0))
-    return _spec(p, d, R, c2, c3)
-
-
 def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     """Construct certificate constants from a satisfied condition report.
 
-    Preference order: (1) the wedge at the report's witness, else at the
-    witness of check_condition(p, "I"): the wedge band is non-empty exactly
-    where F(R) >= 0, so condition I's witness finds a wedge whenever one
-    exists; (2) where no wedge exists, the first candidate (delta2, R)
-    whose ratio band has 0 < lo < hi, with C3 = 1 and C2 = sqrt(lo * hi).
-    Raises InfeasibleWedge when no candidate has such a band.
+    Walks the candidates (delta2, R): the report's witness, then the
+    symmetric split delta1 = delta2 and 1/4, 1/2, 3/4 of 2*gamma - 1, each
+    at R = max(1/delta2, epsilon). The first whose ratio band has
+    0 < lo < hi gives C3 = 1 and C2 = sqrt(lo * hi). Raises InfeasibleWedge
+    when no candidate has such a band.
     """
     if not report.satisfied:
         raise InfeasibleWedge("condition report is not satisfied")
     _require_gamma(p.gamma)
-
-    # (1) wedge at a witness
-    spec = _witness_wedge_spec(p, report)
-    if spec is None and report.condition != "I":
-        spec = _witness_wedge_spec(p, check_condition(p, "I"))
-    if spec is not None:
-        return spec
-
-    # (2) the ratio band at the witness, the symmetric split
-    # delta1 = delta2 and three fractions of 2*gamma - 1
     d2_hi = 2.0 * p.gamma - 1.0
     candidates = [(report.witness_deltas, report.witness_R)] + [
         (DeltaPair.from_delta2(d2, p.gamma), max(1.0 / d2, p.epsilon))
@@ -614,9 +588,12 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
         if 0.0 < d2 < d2_hi]
     for d, R in candidates:
         if d.delta1 > 1e-6:
-            lo, hi = _ratio_band(*_slack_rows(d, R, _c_growth(p, d), p)[2:])
+            C = _c_growth(p, d)
+            lo, hi = _ratio_band(*_slack_rows(d, R, C, p)[2:])
             if 0.0 < lo < hi < math.inf:
-                return _spec(p, d, R, math.sqrt(lo * hi), 1.0)
+                c2 = math.sqrt(lo * hi)
+                return LyapunovSpec(c1=c2 + 1.0, c2=c2, c3=1.0, deltas=d,
+                                    R=R, C=C)
     raise InfeasibleWedge(
         "no feasible Lyapunov constants found for these parameters")
 

@@ -205,6 +205,9 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     ("region", "region", dict(REGION, sigma=[])),
     ("region", "region", dict(REGION, sigma={"start": 0.1, "stop": 1.0,
                                              "num": 0})),
+    # two gammas that name the same region_gamma_0.6.csv
+    ("region", "region", dict(REGION, gammas=[0.6, 0.6000001])),
+    ("verify", "verify", {"condition": "III"}),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
@@ -272,10 +275,11 @@ class TestVerify:
         assert not list(tmp_path.glob("o/*"))
 
     def test_overflowing_threshold_at_wedge_radius(self, tmp_path):
-        # the wedge gives R = 1e4 here, where e^(2R) overflows: the
-        # threshold is written as null and the A5 sweep is skipped
+        # condition I's witness has R = 1e4 here, where e^(2R) overflows:
+        # the threshold is written as null and the A5 sweep is skipped
         cfg = write_config(tmp_path / "v.json",
-                           {"model": dict(MODEL, beta=0.01)})
+                           {"model": dict(MODEL, beta=0.01),
+                            "verify": {"condition": "I"}})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads((out / "verify.json").read_text())
@@ -284,9 +288,25 @@ class TestVerify:
         assert data["r0_threshold"]["overflow"]
         assert "skipped" in data["a5"]
 
+    def test_a5_sweep_runs_at_band_radius(self, tmp_path):
+        # the same model under condition II: the band's first candidate
+        # with 0 < lo < hi sits at R = 1 + sqrt(2), where the threshold is
+        # finite and the A5 sweep runs
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, beta=0.01)})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / "verify.json").read_text())
+        assert data["spec"]["R"] == pytest.approx(1.0 + math.sqrt(2.0),
+                                                  rel=1e-12)
+        assert not data["r0_threshold"]["overflow"]
+        assert data["r0_threshold"]["log_value"] == pytest.approx(453.64,
+                                                                  abs=0.01)
+        assert data["a5"]["negative"] is True
+
     def test_a5_sweep_runs_below_overflow(self, tmp_path):
         # the ratio band is non-empty at condition II's witness, so the
-        # slack route keeps its R = 2.2867, where the threshold is finite
+        # spec keeps its R = 2.2867, where the threshold is finite
         cfg = write_config(tmp_path / "v.json",
                            {"model": dict(MODEL, sigma=0.46, beta=0.04)})
         out = tmp_path / "o"
@@ -298,8 +318,8 @@ class TestVerify:
         assert data["a5"]["negative"] is True
 
     def test_no_feasible_constants(self, tmp_path, capsys):
-        # condition II holds, but neither a wedge nor the slack route
-        # gives constants: exit 3 with verify.json, as for the other
+        # condition II holds, but no candidate's ratio band gives
+        # constants: exit 3 with verify.json, as for the other
         # outcomes without a certificate
         cfg = write_config(tmp_path / "v.json",
                            {"model": dict(MODEL, sigma=0.1, beta=0.06)})
@@ -311,16 +331,40 @@ class TestVerify:
         assert data["outcome"].startswith("no feasible constants")
         assert "spec" not in data
 
-    def test_vol_cap_has_no_constants(self, tmp_path, capsys):
+    @pytest.mark.parametrize("beta, condition, outcome", [
+        (0.05, "II", "no feasible constants"),
+        (0.0, "II", "no feasible constants"),
+        (0.01, "II", "no feasible constants"),
+        # condition I fails here before any constants are sought
+        (0.05, "I", "condition unsatisfied"),
+        (0.0, "I", "no feasible constants"),
+        (0.01, "I", "no feasible constants")])
+    def test_vol_cap_has_no_constants(self, tmp_path, capsys, beta,
+                                      condition, outcome):
         # a capped volatility cannot explode: f -> -C on the far-field
         # rows, so no ratio C2/C3 covers the rows where g < 0 too
         cfg = write_config(tmp_path / "v.json",
-                           {"model": dict(MODEL, vol_cap=5.0)})
+                           {"model": dict(MODEL, beta=beta, vol_cap=5.0),
+                            "verify": {"condition": condition}})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
-        assert "no feasible" in capsys.readouterr().out
+        assert (("no feasible" in capsys.readouterr().out)
+                == outcome.startswith("no feasible"))
         data = json.loads((out / "verify.json").read_text())
-        assert data["outcome"].startswith("no feasible constants")
+        assert data["outcome"].startswith(outcome)
+        assert "spec" not in data
+
+    def test_unknown_condition_exits_2_at_gamma_below_half(self, tmp_path,
+                                                          capsys):
+        # read with the section, before gamma decides that no certificate
+        # exists (which would exit 3 and write verify.json)
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, gamma=0.4),
+                            "verify": {"condition": "III"}})
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "condition must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/*"))
 
     def test_non_explosive_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.json",
