@@ -1,7 +1,7 @@
 """Command-line front end.
 
     qghjm simulate|region|verify|ode|price --config FILE --out DIR
-          [--seed N] [--threads N]
+          [--threads N] [--seed N (simulate, price)] [--c3-scale S (verify)]
 
 All inputs come from one JSON config, read strictly by _setup: finite
 numbers only, every section an object with no unknown and no missing key
@@ -37,8 +37,8 @@ _PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
 _SECTIONS = {
     "simulate": ({"checkpoints"}, ()),
     "region": ({"gammas", "sigma"}, ("gammas", "sigma")),
-    "verify": ({"condition", "grid_n"}, ()),
-    "ode": ({"horizon", "tol"}, ("horizon",)),
+    "verify": ({"condition"}, ()),
+    "ode": ({"horizon"}, ("horizon",)),
     "price": ({"T", "delta", "discount_check"}, ("T", "delta")),
 }
 
@@ -67,7 +67,7 @@ def _setup(args, *needs: str, optional: tuple = ()) -> list:
     (model, curve, sim; --seed applied to sim, a curve lambda(0) other than
     the model's lambda0 rejected), then the own section, per _SECTIONS.
     """
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     try:
         with open(args.config) as fh:
@@ -176,11 +176,6 @@ def cmd_region(args) -> int:
 def cmd_verify(args) -> int:
     p, curve, opts = _setup(args, "model", optional=("curve",))
     which = opts.get("condition", "II")
-    with _reading("verify"):
-        if which not in ("I", "II"):
-            raise ConfigError(f"condition must be 'I' or 'II', got {which!r}")
-        if (n := as_int(opts.get("grid_n", 200))) < 2:
-            raise ConfigError(f"grid_n must be at least 2, got {n}")
     out: dict = {"model": p.to_json(), "condition_requested": which,
                  "c3_scale": args.c3_scale}
     if curve is not None:  # does the flat-curve certificate carry over?
@@ -188,13 +183,12 @@ def cmd_verify(args) -> int:
 
     path = os.path.join(args.out, "verify.json")
     try:
-        report = xc.check_condition(p, which)
+        report = xc.check_condition(p, which)  # which first: a bad one exits 2
         out["condition"] = report.to_json()
         spec = xc.build_lyapunov(p, report)  # InfeasibleWedge if unsatisfied
     except (GammaOutOfRange, InfeasibleWedge) as e:  # no certificate
         if isinstance(e, GammaOutOfRange):
-            out["outcome"] = f"non-explosive regime: {e}"
-            line = f"non-explosive regime (gamma = {p.gamma} <= 1/2)"
+            line = out["outcome"] = f"non-explosive regime: {e}"
         elif not report.satisfied:
             out["outcome"] = "condition unsatisfied"
             line = (f"condition {which} unsatisfied "
@@ -210,7 +204,7 @@ def cmd_verify(args) -> int:
     R = spec.R
     k1, k2 = xc.kappas(R, p, spec.deltas)
     wedge = xc.wedge_feasible_slopes(R, p, spec.deltas)
-    rep = xc.verify_generator_inequality(spec, p, n)
+    rep = xc.verify_generator_inequality(spec, p)
     thr = xc.as_explosion_r0_threshold(R, p) if p.beta > 0 else None
 
     out["spec"] = spec.to_json()
@@ -226,7 +220,7 @@ def cmd_verify(args) -> int:
                                "value": thr.value, "overflow": thr.overflow}
         if not thr.overflow:
             p_as = replace(p, lambda0=thr.value)
-            a5 = xc.verify_a5_function(p_as, R, n)
+            a5 = xc.verify_a5_function(p_as, R)
             out["a5"] = {"lambda0_used": thr.value,
                          "max_value": a5.max_value, "negative": a5.negative}
         else:
@@ -241,8 +235,7 @@ def cmd_ode(args) -> int:
     p, curve, opts = _setup(args, "model", "curve")
     with _reading("ode"):
         horizon = as_float(opts["horizon"])
-        tol = as_float(opts.get("tol", 1e-10))
-        res = ode_limit.ode_integrate(p, curve, horizon, tol)
+        res = ode_limit.ode_integrate(p, curve, horizon)
     with open(os.path.join(args.out, "ode_trace.csv"), "w") as fh:
         write_rows(fh, "t,r,y", res.trace)
     # the closed forms hold for a flat, uncapped, undisplaced model only
@@ -251,7 +244,7 @@ def cmd_ode(args) -> int:
     bc = ode_limit.beta_critical(p) if closed else None
     out = {
         "config": {"model": p.to_json(), "curve": curve.to_json(),
-                   "ode": {"horizon": horizon, "tol": tol}},
+                   "ode": {"horizon": horizon}},
         "exploded": res.exploded,
         "t_exp": res.t_exp,
         "terminal": None if res.terminal is None else
@@ -308,8 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=1)
+        if name in ("simulate", "price"):  # the commands that read sim
+            sp.add_argument("--seed", type=int, default=None)
         if name == "verify":
             sp.add_argument("--c3-scale", type=float, default=1.0,
                             dest="c3_scale")

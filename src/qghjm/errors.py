@@ -21,8 +21,8 @@ class UnsupportedGamma(QGHJMError):
 
 
 class GammaOutOfRange(QGHJMError):
-    """Explosion certificates require gamma in (1/2, 1]; below that the
-    dynamics are provably non-explosive."""
+    """Explosion certificates require gamma in (1/2, 1] and no vol_cap;
+    below that, or with a cap, the dynamics are provably non-explosive."""
 
 
 class InfeasibleWedge(QGHJMError):

@@ -46,8 +46,8 @@ from the slack LV - C V = C2 f + C3 g - C (C1 - C2 - C3) on rows (f, g),
 one per exterior-grid point plus far-field rows (limits along
 y = k r^(1+d2), r -> inf): the feasible ratios C2/C3 form one band,
 [max -g/f over f > 0, min g/(-f) over f < 0], whose geometric middle
-gives the constants. The band and the check of a spec sample the same
-rows; neither is a proof.
+gives the constants. The band and the check of a spec read the same
+rows, on one fixed grid; neither is a proof.
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ def _require_gamma(gamma: float) -> None:
         raise GammaOutOfRange(
             f"explosion certificates require gamma in (1/2, 1], got {gamma}; "
             "for gamma <= 1/2 the dynamics are non-explosive")
+
+
+def _require_explosive(p: ModelParams) -> None:
+    _require_gamma(p.gamma)
+    if p.vol_cap is not None:
+        raise GammaOutOfRange(f"vol_cap = {p.vol_cap} bounds the volatility, "
+                              "so the dynamics are non-explosive")
 
 
 @dataclass(frozen=True)
@@ -368,14 +375,15 @@ def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
 def check_condition(p: ModelParams, which: str) -> ConditionReport:
     """Find the supremum of condition I or II over delta2 in (0, 2*gamma-1)
     and R >= epsilon; I holds when it is positive, II when non-negative.
+    Raises GammaOutOfRange if the model cannot explode (vol_cap, gamma <= 1/2).
 
     G peaks at R0 = 1/delta2, so unless epsilon > 1/delta2* the sup of II
     is at delta2_star's maximizer (clamped into the open interval): II
     holds exactly when beta <= beta_max(sigma, gamma).
     """
-    _require_gamma(p.gamma)
     if which not in ("I", "II"):
         raise ConfigError(f"condition must be 'I' or 'II', got {which!r}")
+    _require_explosive(p)
     d2_hi = 2.0 * p.gamma - 1.0
     if which == "I":
         sup, deltas, R = _sup_condition_i(p, d2_hi)
@@ -505,28 +513,26 @@ def a5_field() -> SmoothField:
     )
 
 
-def _log_grid(R: float, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    """The points (r, y) of the n x n log grid on
+def _log_grid(R: float, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The points (r, y) of the _N_VERIFY x _N_VERIFY log grid on
     [_FLOOR * R, _L_OVER_R * R]^2 where keep(r) or keep(y) holds."""
-    if not n >= 2:
-        raise ConfigError(f"need a grid of n >= 2 points a side, got {n}")
-    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, n)
+    g = np.geomspace(R * _FLOOR, R * _L_OVER_R, _N_VERIFY)
     rr, yy = np.meshgrid(g, g)
     mask = keep(rr) | keep(yy)
     return rr[mask], yy[mask]
 
 
-def _slack_rows(d: DeltaPair, R: float, C: float, p: ModelParams,
-                n: int = _N_VERIFY) -> tuple[np.ndarray, ...]:
+def _slack_rows(d: DeltaPair, R: float, C: float,
+                p: ModelParams) -> tuple[np.ndarray, ...]:
     """Points (r, y) and rows (f, g), LV - C V = C2 f + C3 g - C (C1 - C2 - C3).
 
-    The n x n exterior grid and _FACE_POINTS points on and just outside
+    The exterior log grid and _FACE_POINTS points on and just outside
     each face, where f and g are the slacks of 1 - (1+y)^(-d1) and
     1 - (1+r)^(-d2); then far-field rows at (inf, inf), where
     sigma_r^2 ~ sigma^2 r^(2 gamma) (bounded under vol_cap) gives
     f -> sigma^2 d1 k^(-1-d1) - C and g -> d2 k - C.
     """
-    r, y = _log_grid(R, n, lambda v: v >= R)
+    r, y = _log_grid(R, lambda v: v >= R)
     s = np.linspace(R * _FLOOR, R, _FACE_POINTS)
     face = np.full(_FACE_POINTS, R)
     off = face * (1.0 + _FACE_OFFSET)
@@ -552,15 +558,15 @@ def _ratio_band(f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
             float(np.min(g[neg] / -f[neg], initial=np.inf)))
 
 
-def verify_generator_inequality(spec: LyapunovSpec, p: ModelParams,
-                                n: int = _N_VERIFY) -> VerificationReport:
-    """Evaluate LV - C*V on the slack rows of an n x n exterior grid and
-    count violations: rows whose slack drops below -1e-12."""
+def verify_generator_inequality(spec: LyapunovSpec,
+                                p: ModelParams) -> VerificationReport:
+    """Evaluate LV - C*V on the slack rows that build_lyapunov's band
+    reads, and count violations: rows whose slack drops below -1e-12."""
     if spec.R < p.epsilon:
         raise DomainError(f"spec.R must be >= epsilon ({p.epsilon})")
     if spec.C < _c_growth(p, spec.deltas) - 1e-12:
         raise DomainError("spec.C is below the admissible growth constant")
-    r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p, n)
+    r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p)
     slack = spec.c2 * f + spec.c3 * g - spec.C * (spec.c1 - spec.c2 - spec.c3)
     i = int(np.argmin(slack))
     return VerificationReport(min_slack=float(slack[i]), n_points=len(slack),
@@ -575,11 +581,11 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     symmetric split delta1 = delta2 and 1/4, 1/2, 3/4 of 2*gamma - 1, each
     at R = max(1/delta2, epsilon). The first whose ratio band has
     0 < lo < hi gives C3 = 1 and C2 = sqrt(lo * hi). Raises InfeasibleWedge
-    when no candidate has such a band.
+    when no candidate has such a band, GammaOutOfRange as check_condition.
     """
     if not report.satisfied:
         raise InfeasibleWedge("condition report is not satisfied")
-    _require_gamma(p.gamma)
+    _require_explosive(p)
     d2_hi = 2.0 * p.gamma - 1.0
     candidates = [(report.witness_deltas, report.witness_R)] + [
         (DeltaPair.from_delta2(d2, p.gamma), max(1.0 / d2, p.epsilon))
@@ -657,8 +663,7 @@ def as_explosion_r0_threshold(R: float, p: ModelParams) -> R0Threshold:
                        overflow=overflow)
 
 
-def verify_a5_function(p: ModelParams, R: float,
-                       n: int = _N_VERIFY) -> A5Report:
+def verify_a5_function(p: ModelParams, R: float) -> A5Report:
     """Evaluate L V0 for V0 = exp(-r) + exp(-y) over the strip complement
     {0 < y < 2R or 0 < r < 2R}, truncated at _L_OVER_R * R.
 
@@ -669,7 +674,7 @@ def verify_a5_function(p: ModelParams, R: float,
         raise DomainError("requires beta > 0")
     if not R > 0.0:
         raise DomainError("R must be positive")
-    r, y = _log_grid(R, n, lambda v: v < 2.0 * R)
+    r, y = _log_grid(R, lambda v: v < 2.0 * R)
     vals = generator_apply(a5_field(), r, y, p)
     i = int(np.argmax(vals))
     return A5Report(max_value=float(vals[i]),

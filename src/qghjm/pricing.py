@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -115,7 +114,7 @@ def futures_estimate(batch: BatchPaths, p: ModelParams, curve: ForwardCurve,
 
 def eurodollar_futures(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                        T: float, delta: float, *,
-                       threads: Optional[int] = None) -> McEstimate:
+                       threads: int = 1) -> McEstimate:
     """Monte Carlo estimate of E[1/P(T, T+delta)]; see futures_estimate."""
     batch = simulate_batch(p, curve, futures_config(cfg, T, delta),
                            threads=threads)
@@ -133,7 +132,7 @@ def discount_estimate(batch: BatchPaths) -> McEstimate:
 
 def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
                                cfg: SimConfig, T: float, *,
-                               threads: Optional[int] = None) -> McEstimate:
+                               threads: int = 1) -> McEstimate:
     """MC mean of the pathwise discount factor exp(-sum_k r_k dt) up to T.
 
     In an arbitrage-consistent implementation this reproduces P(0, T) up

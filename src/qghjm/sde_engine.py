@@ -153,20 +153,19 @@ class BatchPaths:
 def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                    path_indices: Optional[Sequence[int]] = None, *,
                    record: bool = False, want_discount: bool = False,
-                   threads: Optional[int] = None) -> BatchPaths:
+                   threads: int = 1) -> BatchPaths:
     """Simulate a batch of paths (default: indices 0 .. n_paths-1).
 
     Paths are embarrassingly parallel: contiguous chunks of about _CHUNK
     paths or fewer, at least one per thread, fill disjoint slices, so the
-    output is independent of scheduling. threads None means one thread.
+    output is independent of scheduling.
     """
     n_steps = cfg.n_steps
     if not cfg.explosion_threshold >= 10.0 * p.lambda0:
         raise ConfigError(
             "explosion_threshold must be at least 10 * lambda0 "
             f"({10.0 * p.lambda0}), got {cfg.explosion_threshold}")
-    nthreads = 1 if threads is None else int(threads)
-    if nthreads < 1:
+    if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if path_indices is None:
         idx = np.arange(cfg.n_paths, dtype=np.int64)
@@ -275,9 +274,9 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         if disc is not None:
             ld_c[cols] = disc
 
-    nchunks = max(min(nthreads, n), -(-n // _CHUNK), 1)
+    nchunks = max(min(threads, n), -(-n // _CHUNK), 1)
     bounds = np.linspace(0, n, nchunks + 1, dtype=int).tolist()
-    nworkers, nb_max = min(nthreads, nchunks), min(_NOISE_BLOCK, n_steps)
+    nworkers, nb_max = min(threads, nchunks), min(_NOISE_BLOCK, n_steps)
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
     def work(t: int) -> None:

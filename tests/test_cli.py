@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 import qghjm
 from qghjm import (ForwardCurve, ModelParams, SimConfig,
                    discount_consistency_check, eurodollar_futures)
+from qghjm import cli
 from qghjm import sde_engine as eng
 from qghjm.cli import main
 
@@ -331,33 +336,27 @@ class TestVerify:
         assert data["outcome"].startswith("no feasible constants")
         assert "spec" not in data
 
-    @pytest.mark.parametrize("beta, condition, outcome", [
-        (0.05, "II", "no feasible constants"),
-        (0.0, "II", "no feasible constants"),
-        (0.01, "II", "no feasible constants"),
-        # condition I fails here before any constants are sought
-        (0.05, "I", "condition unsatisfied"),
-        (0.0, "I", "no feasible constants"),
-        (0.01, "I", "no feasible constants")])
+    @pytest.mark.parametrize("condition", ["I", "II"])
+    @pytest.mark.parametrize("beta", [0.05, 0.0, 0.01])
     def test_vol_cap_has_no_constants(self, tmp_path, capsys, beta,
-                                      condition, outcome):
-        # a capped volatility cannot explode: f -> -C on the far-field
-        # rows, so no ratio C2/C3 covers the rows where g < 0 too
+                                      condition):
+        # a capped volatility cannot explode, whatever the condition's
+        # scalar test says: the verdict of gamma <= 1/2, not "satisfied"
         cfg = write_config(tmp_path / "v.json",
                            {"model": dict(MODEL, beta=beta, vol_cap=5.0),
                             "verify": {"condition": condition}})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
-        assert (("no feasible" in capsys.readouterr().out)
-                == outcome.startswith("no feasible"))
+        line = capsys.readouterr().out
+        assert line.startswith("non-explosive regime: ") and "vol_cap" in line
         data = json.loads((out / "verify.json").read_text())
-        assert data["outcome"].startswith(outcome)
-        assert "spec" not in data
+        assert data["outcome"] == line.strip()
+        assert "condition" not in data and "spec" not in data
 
     def test_unknown_condition_exits_2_at_gamma_below_half(self, tmp_path,
                                                           capsys):
-        # read with the section, before gamma decides that no certificate
-        # exists (which would exit 3 and write verify.json)
+        # check_condition tests which before gamma, so a bad name exits 2
+        # before the non-explosive verdict (exit 3 with verify.json)
         cfg = write_config(tmp_path / "v.json",
                            {"model": dict(MODEL, gamma=0.4),
                             "verify": {"condition": "III"}})
@@ -406,7 +405,7 @@ class TestOde:
         data = json.loads((out / "ode.json").read_text())
         assert data["exploded"]
         assert data["t_exp"] == pytest.approx(47.03, abs=0.05)
-        assert data["config"]["ode"] == {"horizon": 100.0, "tol": 1e-10}
+        assert data["config"]["ode"] == {"horizon": 100.0}
         trace = (out / "ode_trace.csv").read_text().splitlines()
         assert trace[0] == "t,r,y"
         assert len(trace) == data["steps"] + 2 > 10
@@ -465,8 +464,41 @@ def test_second_lambda0_exits_2(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("config error: curve: ")
 
 
-@pytest.mark.parametrize("command", ["simulate", "price", "verify", "region",
-                                     "ode"])
+COMMANDS = ["simulate", "price", "verify", "region", "ode"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", {}),
+    ("price", {"price": {"T": 0.5, "delta": 0.25}}),
+])
+def test_seed_flag_replaces_sim_seed(tmp_path, command, extra):
+    outs = {}
+    for name, seed, flag in (("cfg7", 7, []), ("flag7", 1, ["--seed", "7"]),
+                             ("cfg1", 1, [])):
+        cfg = write_config(tmp_path / f"{name}.json", {
+            "model": MODEL, "curve": CURVE,
+            "sim": {**SIM, "n_paths": 20, "seed": seed}, **extra})
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out), *flag]) == 0
+        outs[name] = sorted((f.name, f.read_bytes()) for f in out.iterdir())
+    assert outs["flag7"] == outs["cfg7"] != outs["cfg1"]
+
+
+@pytest.mark.parametrize("command", ["verify", "region", "ode"])
+def test_seed_flag_exits_2(tmp_path, capsys, command):
+    # these subcommands run no paths, so --seed is an unknown argument
+    cfg = write_config(tmp_path / "c.json", {
+        "model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
+        "ode": {"horizon": 1.0}, "price": {"T": 0.5, "delta": 0.25}})
+    with pytest.raises(SystemExit) as e:
+        main([command, "--config", cfg, "--out", str(tmp_path / "x"),
+              "--seed", "5"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
     cfg = write_config(tmp_path / "c.json", {
@@ -565,3 +597,45 @@ class TestPrice:
             "price": {"T": 0.9, "delta": 0.5}})
         assert main(["price", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    """The README names exactly the config keys and flags the parser
+    accepts: no more, no fewer."""
+
+    def test_config_table_matches_parser(self):
+        rows = {}  # section -> (keys, bold required keys)
+        for line in README.read_text().splitlines():
+            m = re.fullmatch(r"\| `(\w+)` \| (.*) \| .* \|", line)
+            if m:
+                # parentheses hold defaults, ranges and sub-keys
+                keys = re.sub(r"\((?:[^()]|\([^()]*\))*\)", "", m[2])
+                rows[m[1]] = (set(re.findall(r"`(\w+)`", keys)),
+                              set(re.findall(r"\*\*`(\w+)`\*\*", keys)))
+        assert set(rows) == {*cli._PARSERS, *cli._SECTIONS}
+        expect = {name: (set(allowed), set(required))
+                  for name, (allowed, required) in cli._SECTIONS.items()}
+        for name, cls in (("model", ModelParams), ("sim", SimConfig)):
+            fields = dataclasses.fields(cls)
+            expect[name] = ({f.name for f in fields},
+                            {f.name for f in fields
+                             if f.default is dataclasses.MISSING})
+        for name in expect:
+            assert rows[name] == expect[name], name
+
+    def test_cli_synopsis_matches_parser(self):
+        text = README.read_text()
+        block = text[text.index("## CLI"):].split("```")[1].strip()
+        named = {}  # command -> flags its synopsis lines name
+        for entry in re.split(r"\n(?=qghjm )", block):
+            for command in entry.split()[1].split("|"):
+                named.setdefault(command, set()).update(
+                    re.findall(r"--[\w-]+", entry))
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        accepted = {name: {o for a in sp._actions for o in a.option_strings}
+                    - {"-h", "--help"} for name, sp in sub.choices.items()}
+        assert named == accepted

@@ -167,9 +167,14 @@ class TestCheckCondition:
         rep = q.check_condition(params(beta=0.05), "I")
         assert not rep.satisfied
 
-    def test_gamma_out_of_range(self):
+    @pytest.mark.parametrize("kw", [{"gamma": 0.4}, {"vol_cap": 5.0}])
+    def test_gamma_out_of_range(self, kw):
+        # neither model can explode: no condition, and no constants even
+        # from an explosive model's report
         with pytest.raises(q.GammaOutOfRange):
-            q.check_condition(params(gamma=0.4), "II")
+            q.check_condition(params(**kw), "II")
+        with pytest.raises(q.GammaOutOfRange):
+            q.build_lyapunov(params(**kw), q.check_condition(params(), "II"))
 
     def test_bad_condition_name(self):
         with pytest.raises(q.ConfigError):
@@ -507,16 +512,6 @@ class TestBuildAndVerify:
                                deltas=spec.deltas, R=spec.R, C=spec.C / 10)
         with pytest.raises(q.DomainError):
             q.verify_generator_inequality(low_c, p)
-
-    @pytest.mark.parametrize("n", [1, 0, -1])
-    def test_degenerate_grid_rejected(self, n):
-        # n = 0 would check the face and far-field rows alone
-        p = params()
-        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
-        with pytest.raises(q.ConfigError, match="n >= 2"):
-            q.verify_generator_inequality(spec, p, n)
-        with pytest.raises(q.ConfigError, match="n >= 2"):
-            q.verify_a5_function(p, 1.0, n)
 
 
 def far_slack_min(spec, p):
