@@ -1,36 +1,25 @@
-"""Small deterministic 1-D search utilities used by the region scans."""
+"""The package's one 1-D search: bisection, down to adjacent doubles, of
+the point where a predicate turns false. delta2_star (the root of J'),
+condition II's R = epsilon branch and clopper_pearson_upper95 use it."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+def bisect(pred: Callable[[float], bool], lo: float,
+           hi: float) -> tuple[float, float]:
+    """The adjacent doubles (a, b) of [lo, hi] where pred turns false.
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi].
-
-    Returns (argmax, value). Deterministic: the bracket update sequence is a
-    pure function of (lo, hi, tol).
+    pred must be true left of one point of [lo, hi] and false right of
+    it; it is only called strictly inside, so a is lo or a point where
+    pred holds, and b is hi or a point where it fails. Deterministic.
     """
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, f(a)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if pred(mid):
+            lo = mid
         else:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        it += 1
-    x = 0.5 * (a + b)
-    return x, f(x)
+            hi = mid

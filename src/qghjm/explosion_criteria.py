@@ -18,8 +18,10 @@ A = 2*beta + (1/2) sigma^2 delta2 (delta2 + 1):
 
 where G peaks at R0 = 1/delta2 with value (d2/(1+d2))^(d2+1). For
 epsilon <= 1, condition (II) therefore holds exactly when beta lies in the
-admissible mean-reversion band 0 <= beta <= beta_max(sigma, gamma) that
-the peak value scanned over delta2 yields; it closes at sigma = sqrt(2).
+admissible band 0 <= beta <= beta_max(sigma, gamma) = max{0, J(d2*)/2},
+d2* the maximizer of J(d2) = (d2/(1+d2))^(d2+1) - (1/2) sigma^2 d2 (d2+1)
+on [0, 2*gamma-1]. J is strictly concave there and J'(0+) = 1 - sigma^2/2,
+so d2* is the root of J' and the band closes at sigma = sqrt(2).
 
 A certificate is realized by a bounded function
 
@@ -59,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from ._csv import write_rows
-from ._search import golden_max
+from ._search import bisect
 from .errors import ConfigError, DomainError, GammaOutOfRange, InfeasibleWedge
 from .model_core import ModelParams, SmoothField, generator_apply
 
@@ -301,12 +303,9 @@ def condition_G(R, d: DeltaPair):
     return float(val) if val.ndim == 0 else val
 
 
-def _g_peak(delta2) -> np.ndarray:
+def _g_peak(d2: float) -> float:
     """Peak value of G: (d2/(1+d2))^(d2+1), continuously 0 at d2 = 0."""
-    d2 = np.asarray(delta2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(d2 > 0.0, (d2 / (1.0 + d2)) ** (d2 + 1.0), 0.0)
-    return v
+    return (d2 / (1.0 + d2)) ** (d2 + 1.0) if d2 > 0.0 else 0.0
 
 
 def kappa_delta(delta1: float) -> float:
@@ -339,37 +338,25 @@ def kappas(R: float, p: ModelParams, d: DeltaPair) -> tuple[float, float]:
 # condition scans and the admissible region
 
 
-def _bracket(grid: np.ndarray, x: float) -> tuple[float, float]:
-    """The neighbours of x on a sorted grid, clamped to its ends: the
-    golden-section bracket around a grid argmax."""
-    j = int(np.searchsorted(grid, x))
-    return grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-
-
 def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
     """(sup F, deltas, R) of condition I: a log-uniform (delta2, R) grid
-    search followed by golden-section refinement."""
-    d2_grid = np.geomspace(_D2_MIN, d2_hi * _D2_TOP, _N_GRID)
-    r_grid = np.geomspace(p.epsilon, _R_MAX, _N_GRID)
-    best = (-math.inf, d2_grid[0], r_grid[0])
-    for d2 in d2_grid:
-        dd = DeltaPair.from_delta2(float(d2), p.gamma)
-        vals = condition_F(r_grid, p, dd)
-        i = int(np.argmax(vals))
-        if vals[i] > best[0]:
-            best = (float(vals[i]), float(d2), float(r_grid[i]))
-
-    sup, d2_best, r_best = best
-    # coordinate refinement: R at fixed delta2, then delta2 at fixed R
-    for _ in range(2):
-        dd = DeltaPair.from_delta2(d2_best, p.gamma)
-        r_best, sup_r = golden_max(lambda R: condition_F(R, p, dd),
-                                   *_bracket(r_grid, r_best), tol=_REFINE_TOL)
-        d2_best, sup = golden_max(
-            lambda d2: condition_F(r_best, p, DeltaPair.from_delta2(d2, p.gamma)),
-            *_bracket(d2_grid, d2_best), tol=_REFINE_TOL)
-        sup = max(sup, sup_r)
-    return max(sup, best[0]), DeltaPair.from_delta2(d2_best, p.gamma), r_best
+    search, then 21 x 21 grids between the best point's neighbours until
+    they are _REFINE_TOL apart. F can peak more than once in delta2, so the
+    first grid is dense."""
+    d2s = np.geomspace(_D2_MIN, d2_hi * _D2_TOP, _N_GRID)
+    rs = np.geomspace(p.epsilon, _R_MAX, _N_GRID)
+    best = (-math.inf, d2s[0], rs[0])
+    while True:
+        vals = np.array([condition_F(rs, p, DeltaPair.from_delta2(d2, p.gamma))
+                         for d2 in map(float, d2s)])
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, j] > best[0]:
+            best = (float(vals[i, j]), float(d2s[i]), float(rs[j]))
+        d2_lo, d2_up = d2s[max(i - 1, 0)], d2s[min(i + 1, len(d2s) - 1)]
+        r_lo, r_up = rs[max(j - 1, 0)], rs[min(j + 1, len(rs) - 1)]
+        if max(d2_up - d2_lo, r_up - r_lo) <= _REFINE_TOL:
+            return best[0], DeltaPair.from_delta2(best[1], p.gamma), best[2]
+        d2s, rs = np.linspace(d2_lo, d2_up, 21), np.linspace(r_lo, r_up, 21)
 
 
 def check_condition(p: ModelParams, which: str) -> ConditionReport:
@@ -379,7 +366,9 @@ def check_condition(p: ModelParams, which: str) -> ConditionReport:
 
     G peaks at R0 = 1/delta2, so unless epsilon > 1/delta2* the sup of II
     is at delta2_star's maximizer (clamped into the open interval): II
-    holds exactly when beta <= beta_max(sigma, gamma).
+    holds exactly when beta <= beta_max(sigma, gamma). Otherwise the sup
+    lies on R = epsilon, at the one sign change in delta2 of the margin's
+    slope eps (1+eps)^(-d2-1) (1 - d2 ln(1+eps)) - (1/2) sigma^2 (2 d2 + 1).
     """
     if which not in ("I", "II"):
         raise ConfigError(f"condition must be 'I' or 'II', got {which!r}")
@@ -397,9 +386,11 @@ def check_condition(p: ModelParams, which: str) -> ConditionReport:
         d2 = min(max(delta2_star(p.sigma, p.gamma)[0], _D2_MIN),
                  d2_hi * _D2_TOP)
         if p.epsilon * d2 > 1.0:
-            # G peaks below epsilon: the sup is on R = epsilon, unimodal
-            d2 = golden_max(margin, 1.0 / p.epsilon, d2_hi * _D2_TOP,
-                            tol=_REFINE_TOL)[0]
+            # G peaks below epsilon: the sup is on R = epsilon
+            e, ln_e = p.epsilon, math.log1p(p.epsilon)
+            d2 = bisect(lambda x: e * (1.0 + e) ** (-x - 1.0) * (1.0 - x * ln_e)
+                        > 0.5 * p.sigma ** 2 * (2.0 * x + 1.0),
+                        1.0 / e, d2_hi * _D2_TOP)[0]
         sup = margin(d2)
         deltas = DeltaPair.from_delta2(d2, p.gamma)
         R = max(1.0 / d2, p.epsilon)
@@ -411,38 +402,29 @@ def check_condition(p: ModelParams, which: str) -> ConditionReport:
 
 
 def delta2_star(sigma: float, gamma: float) -> tuple[float, float]:
-    """Maximizer of (d2/(1+d2))^(d2+1) - (1/2) sigma^2 d2 (d2+1) over
-    [0, 2*gamma-1], ties broken toward larger delta2.
-
-    Returns (argmax, objective value). The objective is independent of
-    gamma except through the admissible interval, so interior maximizers
-    coincide across gamma.
-    """
+    """The maximizer d2* of J over [0, 2*gamma-1] (module docstring), and
+    J(d2*): 0 for sigma^2 >= 2, 2*gamma-1 when J' > 0 there, and otherwise
+    the root of J', bisected to adjacent doubles. J does not depend on
+    gamma, so interior maximizers coincide across gamma."""
     _require_gamma(gamma)
     hi = 2.0 * gamma - 1.0
+    s2 = sigma * sigma
 
-    def J(d2):  # scalar or array
-        return _g_peak(d2) - 0.5 * sigma * sigma * d2 * (d2 + 1.0)
+    def rising(d2: float) -> bool:  # J'(d2) > 0
+        return (_g_peak(d2) * (1.0 / d2 - math.log1p(1.0 / d2))
+                > 0.5 * s2 * (2.0 * d2 + 1.0))
 
-    grid = np.linspace(0.0, hi, 801)
-    vals = J(grid)
-    i = len(vals) - 1 - int(np.argmax(vals[::-1]))  # ties -> larger delta2
-    x, v = golden_max(J, *_bracket(grid, grid[i]), tol=1e-13)
-    # boundary candidates compete exactly; larger delta2 wins ties
-    cands = [(J(0.0), 0.0), (v, x), (J(hi), hi)]
-    best = max(cands, key=lambda c: (c[0], c[1]))
-    return best[1], float(best[0])
-
-
-def _beta_from_objective(v: float) -> float:
-    return max(0.0, 0.5 * v)
+    if s2 >= 2.0:
+        return 0.0, 0.0
+    x = hi if rising(hi) else bisect(rising, 0.0, hi)[0]
+    return x, _g_peak(x) - 0.5 * s2 * x * (x + 1.0)
 
 
 def beta_max(sigma: float, gamma: float) -> float:
     """Largest mean reversion admitted by condition II:
     max{0, (1/2) G(R0(d2*)) - (1/4) sigma^2 d2* (d2*+1)}, that is half the
     optimal objective of delta2_star, floored at 0."""
-    return _beta_from_objective(delta2_star(sigma, gamma)[1])
+    return max(0.0, 0.5 * delta2_star(sigma, gamma)[1])
 
 
 def region_curve(gamma: float, sigma_grid) -> RegionCurve:
@@ -452,7 +434,7 @@ def region_curve(gamma: float, sigma_grid) -> RegionCurve:
     rows = []
     for s in np.asarray(sigma_grid, dtype=float):
         d2s, v = delta2_star(float(s), gamma)
-        rows.append((float(s), _beta_from_objective(v), d2s))
+        rows.append((float(s), max(0.0, 0.5 * v), d2s))
     return RegionCurve(gamma=gamma, points=np.array(rows))
 
 

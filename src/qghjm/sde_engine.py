@@ -51,6 +51,7 @@ from typing import Callable, Optional, Sequence, TextIO
 import numpy as np
 
 from ._csv import CHUNK as _CSV_ROWS, append_rows, write_rows
+from ._search import bisect
 from .errors import ConfigError, from_json
 from .model_core import ForwardCurve, ModelParams, coefficients
 
@@ -98,7 +99,7 @@ class SimConfig:
         if not 1 <= self.n_paths < 2 ** 63:  # a path index is an int64 key
             raise ConfigError(f"n_paths must be in [1, 2**63), got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigError("seed must fit in 64 bits")
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.explosion_threshold > 0.0:
             raise ConfigError("explosion_threshold must be > 0")
         if not self.record_stride >= 1:
@@ -338,16 +339,12 @@ def clopper_pearson_upper95(hits: int, n: int) -> float:
     """
     j = np.arange(hits + 1)
     log_c = np.concatenate(([0.0], np.cumsum(np.log((n - j[1:] + 1) / j[1:]))))
-    lo, hi = hits / n, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        tail = np.exp(log_c + j * math.log(mid) + (n - j) * math.log1p(-mid))
-        if tail.sum() > 0.05:
-            lo = mid
-        else:
-            hi = mid
+
+    def tail_above(x: float) -> bool:
+        tail = np.exp(log_c + j * math.log(x) + (n - j) * math.log1p(-x))
+        return tail.sum() > 0.05
+
+    return bisect(tail_above, hits / n, 1.0)[1]
 
 
 def _survivor_estimate(vals: np.ndarray, n: int) -> McEstimate:

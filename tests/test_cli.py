@@ -115,6 +115,11 @@ class TestSimulate:
         assert (out1 / "paths.csv").read_bytes() \
             != (out2 / "paths.csv").read_bytes()
 
+    def test_negative_seed_exits_2(self, sim_config, tmp_path, capsys):
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(tmp_path / "o"), "--seed", "-5"]) == 2
+        assert "seed must be in [0, 2**64), got -5" in capsys.readouterr().err
+
     def test_invalid_path_count(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json", {
             "model": MODEL, "curve": CURVE,
@@ -639,3 +644,18 @@ class TestReadme:
         accepted = {name: {o for a in sp._actions for o in a.option_strings}
                     - {"-h", "--help"} for name, sp in sub.choices.items()}
         assert named == accepted
+
+    def test_region_grid_ends_with_the_band_closed(self, tmp_path):
+        # the example grid ends at sigma = 1.45, past sqrt(2), where
+        # J'(0+) = 1 - sigma^2/2 < 0: beta_max and delta2* are exactly 0
+        text = README.read_text()
+        block = text[text.index("Example config covering"):]
+        cfg = json.loads(block.split("```json")[1].split("```")[0])
+        path = write_config(tmp_path / "cfg.json", {"region": cfg["region"]})
+        out = tmp_path / "out"
+        assert main(["region", "--config", path, "--out", str(out)]) == 0
+        for g in cfg["region"]["gammas"]:
+            rows = np.loadtxt(out / f"region_gamma_{g:g}.csv", delimiter=",",
+                              skiprows=1)
+            assert rows.shape == (28, 3)
+            assert list(rows[-1]) == [1.45, 0.0, 0.0]

@@ -93,8 +93,6 @@ class TestConditionG:
         assert q.condition_G(1e12, d) < 1e-6
 
     def test_peak_location_and_value(self):
-        from qghjm._search import golden_max
-
         for d2 in (0.2, 0.5, 0.9):
             d = q.DeltaPair.from_delta2(d2, 1.0)
             Rs = np.geomspace(1e-4, 100.0 / d2, 20001)
@@ -102,10 +100,9 @@ class TestConditionG:
             i = int(np.argmax(vals))
             grid_res = Rs[i + 1] - Rs[i - 1]
             assert abs(Rs[i] - 1.0 / d2) < grid_res
-            _, peak_refined = golden_max(lambda R: q.condition_G(R, d),
-                                         Rs[i - 1], Rs[i + 1], tol=1e-13)
-            peak = (d2 / (1 + d2)) ** (d2 + 1)
-            assert abs(peak_refined - peak) < 1e-10
+            peak = q.condition_G(1.0 / d2, d)
+            assert abs(peak - (d2 / (1 + d2)) ** (d2 + 1)) <= 1e-15
+            assert vals.max() <= peak
 
 
 class TestCheckCondition:
@@ -155,6 +152,12 @@ class TestCheckCondition:
             assert rep.satisfied == (brute >= 0.0)
             if rep.satisfied:
                 assert rep.witness_R == eps
+                # the witness beats its delta2 neighbours on R = epsilon
+                d2 = rep.witness_deltas.delta2
+                for x in (d2 - 1e-6, d2 + 1e-6):
+                    m = (q.condition_G(eps, q.DeltaPair.from_delta2(x, 1.0))
+                         - 2 * beta - 0.5 * sigma ** 2 * x * (x + 1))
+                    assert rep.sup_value >= m
 
     def test_condition_i_at_zero_beta(self):
         rep = q.check_condition(params(beta=0.0), "I")
@@ -162,6 +165,22 @@ class TestCheckCondition:
         assert rep.sup_value > 0.0
         d, R = rep.witness_deltas, rep.witness_R
         assert q.condition_F(R, params(beta=0.0), d) > 0.0
+
+    @pytest.mark.parametrize("kw", [
+        {"beta": 0.0}, {"beta": 0.01}, {"beta": 0.05},
+        {"sigma": 0.5, "beta": 0.01, "gamma": 0.8, "epsilon": 0.1,
+         "lambda0": 1.0},
+        {"sigma": 1.0, "beta": 0.0, "gamma": 0.6, "epsilon": 1.0,
+         "lambda0": 2.0}])
+    def test_condition_i_sup_beats_a_dense_grid(self, kw):
+        # a brute-force (delta2, R) grid, finer than the scan's first one
+        p = params(**kw)
+        hi = 2 * p.gamma - 1
+        rs = np.geomspace(p.epsilon, 1e4, 1001)
+        brute = max(
+            q.condition_F(rs, p, q.DeltaPair.from_delta2(d, p.gamma)).max()
+            for d in np.geomspace(1e-4, hi * (1 - 1e-9), 1001))
+        assert q.check_condition(p, "I").sup_value >= brute
 
     def test_condition_i_fails_at_moderate_beta(self):
         rep = q.check_condition(params(beta=0.05), "I")
@@ -193,12 +212,22 @@ class TestRegionMachinery:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.01
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.8, 1.0, 1.2, 1.4])
+    def test_delta2_star_is_the_root_of_j_prime(self, sigma):
+        d2s, _ = q.delta2_star(sigma, 1.0)
+        assert 0.0 < d2s < 1.0
+        with mp.workdps(40):
+            d, s = mp.mpf(d2s), mp.mpf(sigma)
+            jp = ((d / (1 + d)) ** (d + 1) * (1 / d - mp.log(1 + 1 / d))
+                  - s ** 2 * (2 * d + 1) / 2)
+            assert abs(jp) <= 1e-14
+
     def test_delta2_star_gamma_independent_when_interior(self):
         results = [q.delta2_star(1.2, g) for g in (0.6, 0.75, 0.9, 1.0)]
         stars = [r[0] for r in results]
         objs = [r[1] for r in results]
         for s, v in zip(stars[1:], objs[1:]):
-            assert s == pytest.approx(stars[0], abs=1e-7)
+            assert abs(s - stars[0]) <= 4 * math.ulp(stars[0])
             assert v == pytest.approx(objs[0], abs=1e-12)
         assert all(s < 0.2 for s in stars)  # interior even for gamma = 0.6
 
@@ -207,8 +236,11 @@ class TestRegionMachinery:
         assert q.beta_max(0.2, 1.0) == pytest.approx(0.105, abs=1e-12)
 
     def test_beta_max_vanishes_above_sqrt2(self):
-        assert q.beta_max(1.42, 1.0) <= 1e-4
-        assert q.beta_max(math.sqrt(2.0) + 0.01, 1.0) == 0.0
+        # J'(0+) = 1 - sigma^2/2: the band closes exactly at sigma = sqrt(2)
+        for sigma in (math.sqrt(2.0), 1.42, 1.45, math.sqrt(2.0) + 0.01):
+            assert q.beta_max(sigma, 1.0) == 0.0
+            assert q.delta2_star(sigma, 1.0) == (0.0, 0.0)
+        assert q.beta_max(1.414, 1.0) > 0.0
         assert q.beta_max(1.40, 1.0) > 0.0
 
     def test_beta_max_non_increasing(self):
