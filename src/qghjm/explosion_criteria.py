@@ -126,7 +126,8 @@ def _require_explosive(p: ModelParams) -> None:
 
 @dataclass(frozen=True)
 class DeltaPair:
-    """Exponent split with (1+delta1)(1+delta2) = 2*gamma, both positive."""
+    """Exponent split with (1+delta1)(1+delta2) = 2*gamma, both positive.
+    The deltas may be arrays (a delta2 column), checked entry by entry."""
 
     delta1: float
     delta2: float
@@ -134,18 +135,18 @@ class DeltaPair:
 
     def __post_init__(self) -> None:
         _require_gamma(self.gamma)
-        if not (self.delta1 > 0.0 and self.delta2 > 0.0):
+        if not (np.all(self.delta1 > 0.0) and np.all(self.delta2 > 0.0)):
             raise ConfigError(
                 f"deltas must be positive, got ({self.delta1}, {self.delta2})")
-        resid = (1.0 + self.delta1) * (1.0 + self.delta2) - 2.0 * self.gamma
-        if abs(resid) > _COUPLING_TOL:
-            raise ConfigError(
-                f"(1+delta1)(1+delta2) != 2*gamma (residual {resid:.3e})")
+        resid = np.ravel((1 + self.delta1) * (1 + self.delta2) - 2 * self.gamma)
+        if np.any(abs(resid) > _COUPLING_TOL):
+            raise ConfigError("(1+delta1)(1+delta2) != 2*gamma (residual "
+                              f"{resid[np.argmax(abs(resid))]:.3e})")
 
     @classmethod
     def from_delta2(cls, delta2: float, gamma: float) -> "DeltaPair":
         _require_gamma(gamma)
-        if not 0.0 < delta2 < 2.0 * gamma - 1.0:
+        if not np.all((0.0 < delta2) & (delta2 < 2.0 * gamma - 1.0)):
             raise ConfigError(
                 f"delta2 must lie in (0, {2.0 * gamma - 1.0}), got {delta2}")
         return cls(delta1=2.0 * gamma / (1.0 + delta2) - 1.0,
@@ -277,8 +278,15 @@ class A5Report:
 # scalar building blocks
 
 
+def _sigma2(p: ModelParams) -> float:
+    try:  # a square past the largest double: no condition can hold
+        return p.sigma ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _a_const(p: ModelParams, d: DeltaPair) -> float:
-    return 2.0 * p.beta + 0.5 * p.sigma ** 2 * d.delta2 * (d.delta2 + 1.0)
+    return 2.0 * p.beta + 0.5 * _sigma2(p) * d.delta2 * (d.delta2 + 1.0)
 
 
 def condition_F(R, p: ModelParams, d: DeltaPair):
@@ -288,7 +296,7 @@ def condition_F(R, p: ModelParams, d: DeltaPair):
         raise DomainError(f"R must be >= epsilon ({p.epsilon})")
     g2 = 2.0 * d.gamma
     A = _a_const(p, d)
-    val = R ** g2 - A * ((1.0 / (d.delta1 * p.sigma ** 2)) * (1.0 + R) ** (d.delta1 + 1.0)
+    val = R ** g2 - A * ((1.0 / (d.delta1 * _sigma2(p))) * (1.0 + R) ** (d.delta1 + 1.0)
                          + (1.0 / d.delta2) * R ** (g2 - 1.0) * (1.0 + R) ** (d.delta2 + 1.0))
     return float(val) if val.ndim == 0 else val
 
@@ -339,16 +347,16 @@ def kappas(R: float, p: ModelParams, d: DeltaPair) -> tuple[float, float]:
 
 
 def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
-    """(sup F, deltas, R) of condition I: a log-uniform (delta2, R) grid
-    search, then 21 x 21 grids between the best point's neighbours until
-    they are _REFINE_TOL apart. F can peak more than once in delta2, so the
-    first grid is dense."""
+    """(sup F, deltas, R) of condition I: a log-uniform (delta2, R) grid,
+    then 21 x 21 grids between the best point's neighbours until they are
+    _REFINE_TOL apart, each one condition_F call over a delta2 column. F
+    can peak more than once in delta2, so the first grid is dense."""
     d2s = np.geomspace(_D2_MIN, d2_hi * _D2_TOP, _N_GRID)
     rs = np.geomspace(p.epsilon, _R_MAX, _N_GRID)
     best = (-math.inf, d2s[0], rs[0])
     while True:
-        vals = np.array([condition_F(rs, p, DeltaPair.from_delta2(d2, p.gamma))
-                         for d2 in map(float, d2s)])
+        with np.errstate(over="ignore"):  # F is -inf where A * [...] overflows
+            vals = condition_F(rs, p, DeltaPair.from_delta2(d2s[:, None], p.gamma))
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[i, j] > best[0]:
             best = (float(vals[i, j]), float(d2s[i]), float(rs[j]))
@@ -378,10 +386,6 @@ def check_condition(p: ModelParams, which: str) -> ConditionReport:
         sup, deltas, R = _sup_condition_i(p, d2_hi)
         ok = sup > 0.0
     else:
-        def margin(x: float) -> float:
-            d = DeltaPair.from_delta2(x, p.gamma)
-            return condition_G(max(1.0 / x, p.epsilon), d) - _a_const(p, d)
-
         # delta2* is 0 for sigma >= sqrt(2) and can be 2*gamma-1 exactly
         d2 = min(max(delta2_star(p.sigma, p.gamma)[0], _D2_MIN),
                  d2_hi * _D2_TOP)
@@ -389,11 +393,11 @@ def check_condition(p: ModelParams, which: str) -> ConditionReport:
             # G peaks below epsilon: the sup is on R = epsilon
             e, ln_e = p.epsilon, math.log1p(p.epsilon)
             d2 = bisect(lambda x: e * (1.0 + e) ** (-x - 1.0) * (1.0 - x * ln_e)
-                        > 0.5 * p.sigma ** 2 * (2.0 * x + 1.0),
+                        > 0.5 * _sigma2(p) * (2.0 * x + 1.0),
                         1.0 / e, d2_hi * _D2_TOP)[0]
-        sup = margin(d2)
         deltas = DeltaPair.from_delta2(d2, p.gamma)
         R = max(1.0 / d2, p.epsilon)
+        sup = condition_G(R, deltas) - _a_const(p, deltas)
         ok = sup >= 0.0
     return ConditionReport(condition=which, satisfied=ok,
                            witness_R=R if ok else None,

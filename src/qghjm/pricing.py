@@ -77,10 +77,13 @@ def zcb_price(t: float, T: float, x, y, p: ModelParams, curve: ForwardCurve):
 def futures_config(cfg: SimConfig, T: float, delta: float) -> SimConfig:
     """The simulation settings of a futures estimate: cfg cut at T.
 
-    Raises ConfigError unless delta > 0 and T + delta fits the horizon.
+    Raises ConfigError unless delta > 0, T is at least one step and
+    T + delta fits the horizon.
     """
     if not delta > 0.0:
         raise ConfigError(f"delta must be positive, got {delta}")
+    if not cfg.dt <= T:
+        raise ConfigError(f"T must be >= dt, got T={T} dt={cfg.dt}")
     if not T + delta <= cfg.horizon:
         raise ConfigError(
             f"T + delta = {T + delta} exceeds horizon {cfg.horizon}")
@@ -143,6 +146,8 @@ def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
     if T == 0.0:
         return McEstimate(mean=1.0, std_error=0.0, n=cfg.n_paths,
                           n_exploded=0, diverged=False)
+    if not cfg.dt <= T:
+        raise ConfigError(f"T must be >= dt, got T={T} dt={cfg.dt}")
     if not T <= cfg.horizon:
         raise ConfigError(f"T={T} exceeds horizon={cfg.horizon}")
     batch = simulate_batch(p, curve, replace(cfg, horizon=T),

@@ -102,3 +102,26 @@ def exterior_log_grid(R: float, n: int = 700, lo: float = 1e-8,
     rr, yy = np.meshgrid(g, g)
     keep = (rr >= R) | (yy >= R)
     return rr[keep], yy[keep]
+
+
+def seeded_models(seed: int, n: int):
+    """n models drawn one at a time in the order gamma, sigma, beta,
+    epsilon: gamma uniform in (1/2, 1), sigma log-uniform in [0.03, 1.45],
+    beta uniform in [0, 1.05 beta_max], epsilon log-uniform in [1e-3, 2]
+    and lambda0 = max(0.1, 2 epsilon)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        gamma = rng.uniform(0.5, 1.0)
+        sigma = math.exp(rng.uniform(math.log(0.03), math.log(1.45)))
+        beta = rng.uniform(0.0, 1.05 * q.beta_max(sigma, gamma))
+        eps = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+        yield q.ModelParams(sigma=sigma, beta=beta, gamma=gamma, epsilon=eps,
+                            lambda0=max(0.1, 2.0 * eps))
+
+
+def condition_f_rows(p: q.ModelParams, d2s, rs) -> np.ndarray:
+    """Condition I's (delta2, R) grid one row at a time: a scalar DeltaPair
+    and one condition_F call per delta2, the reference for the broadcast
+    over a delta2 column."""
+    return np.array([q.condition_F(rs, p, q.DeltaPair.from_delta2(d2, p.gamma))
+                     for d2 in map(float, d2s)])

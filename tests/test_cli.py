@@ -370,6 +370,22 @@ class TestVerify:
         assert "condition must be" in capsys.readouterr().err
         assert not list(tmp_path.glob("o/*"))
 
+    @pytest.mark.parametrize("condition", ["I", "II"])
+    @pytest.mark.parametrize("sigma", [1e160, 1e200])
+    def test_overflowing_sigma_squared_is_unsatisfied(self, tmp_path, capsys,
+                                                      sigma, condition):
+        # sigma^2 overflows a double: read as inf, no condition can hold
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, sigma=sigma),
+                            "verify": {"condition": condition}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().out == (f"condition {condition} "
+                                           "unsatisfied (sup value -inf)\n")
+        data = json.loads((out / "verify.json").read_text())
+        assert data["outcome"] == "condition unsatisfied"
+        assert data["condition"]["sup_value"] is None  # -inf, as JSON null
+
     def test_non_explosive_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.json",
                            {"model": dict(MODEL, gamma=0.4)})
@@ -594,6 +610,18 @@ class TestPrice:
             row = np.loadtxt(out / name, delimiter=",", skiprows=1)
             assert row.tolist() == [2.0, delta, est.mean, est.std_error,
                                     est.n_exploded, int(est.diverged)]
+
+    @pytest.mark.parametrize("T", [0.0, 0.005])
+    def test_maturity_below_one_step_exits_2(self, tmp_path, capsys, T):
+        cfg = write_config(tmp_path / "p.json", {
+            "model": MODEL, "curve": CURVE,
+            "sim": {"dt": 0.01, "horizon": 1.0, "n_paths": 10, "seed": 3},
+            "price": {"T": T, "delta": 0.5}})
+        out = tmp_path / "x"
+        assert main(["price", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: T must be >= dt, got T={T} dt=0.01\n")
+        assert not (out / "futures.csv").exists()
 
     def test_maturity_guard(self, tmp_path):
         cfg = write_config(tmp_path / "p.json", {

@@ -2,6 +2,7 @@
 wedge geometry, Lyapunov construction, and grid verification."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qghjm as q
-from oracles import (brute_min_fhat, exterior_log_grid, holds_19p,
-                     lyapunov_slack, sample_nonempty_wedges)
+from qghjm import explosion_criteria as xc
+from oracles import (brute_min_fhat, condition_f_rows, exterior_log_grid,
+                     holds_19p, lyapunov_slack, sample_nonempty_wedges,
+                     seeded_models)
 
 SQ2M1 = math.sqrt(2.0) - 1.0
 
@@ -43,6 +46,33 @@ class TestDeltaPair:
             q.DeltaPair.from_delta2(0.0, 1.0)
         with pytest.raises(q.GammaOutOfRange):
             q.DeltaPair.from_delta2(0.1, 0.5)
+
+    def test_column_matches_scalar_pairs(self):
+        d2s = np.geomspace(1e-4, 0.79, 50)
+        col = q.DeltaPair.from_delta2(d2s[:, None], 0.9)
+        assert col.delta1.shape == col.delta2.shape == (50, 1)
+        np.testing.assert_array_equal(
+            col.delta1[:, 0],
+            [q.DeltaPair.from_delta2(float(x), 0.9).delta1 for x in d2s])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0, math.nan])
+    def test_column_with_one_entry_outside_rejected(self, bad):
+        # one entry outside (0, 2 gamma - 1) = (0, 1) rejects the column
+        d2s = np.geomspace(1e-4, 0.9, 50)[:, None]
+        d2s[17] = bad
+        with pytest.raises(q.ConfigError, match="delta2 must lie in"):
+            q.DeltaPair.from_delta2(d2s, 1.0)
+
+    def test_column_checks_every_entry(self):
+        d2 = np.array([0.1, 0.5, 0.3])
+        d1 = 2.0 / (1.0 + d2) - 1.0
+        with pytest.raises(q.ConfigError, match="deltas must be positive"):
+            q.DeltaPair(delta1=np.array([d1[0], -0.1, d1[2]]), delta2=d2,
+                        gamma=1.0)
+        # the message names the largest residual, with its sign
+        with pytest.raises(q.ConfigError, match=r"residual -1\.000e-01"):
+            q.DeltaPair(delta1=d1 - [0.0, 0.0, 0.1 / 1.3], delta2=d2,
+                        gamma=1.0)
 
 
 class TestConditionF:
@@ -182,6 +212,25 @@ class TestCheckCondition:
             for d in np.geomspace(1e-4, hi * (1 - 1e-9), 1001))
         assert q.check_condition(p, "I").sup_value >= brute
 
+    def test_condition_i_near_overflow_is_quiet(self):
+        # sigma^2 = 1e300 is finite, but A times the bracket overflows on
+        # part of the grid: F is -inf there, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = q.check_condition(params(sigma=1e150), "I")
+        assert not rep.satisfied and rep.sup_value < 0.0
+
+    @pytest.mark.parametrize("which", ["I", "II"])
+    @pytest.mark.parametrize("kw", [{"sigma": 1e160}, {"sigma": 1e200},
+                                    {"sigma": 1e160, "epsilon": 2e3,
+                                     "lambda0": 4e3}])
+    def test_overflowing_sigma_squared_is_unsatisfied(self, kw, which):
+        # sigma^2 overflows a double and is read as inf: no condition
+        # holds (the last case takes condition II's R = epsilon branch)
+        rep = q.check_condition(params(**kw), which)
+        assert not rep.satisfied
+        assert rep.sup_value == -math.inf
+
     def test_condition_i_fails_at_moderate_beta(self):
         rep = q.check_condition(params(beta=0.05), "I")
         assert not rep.satisfied
@@ -198,6 +247,46 @@ class TestCheckCondition:
     def test_bad_condition_name(self):
         with pytest.raises(q.ConfigError):
             q.check_condition(params(), "III")
+
+
+class TestConditionIGrid:
+    """Condition I's grids in one broadcast over a delta2 column against
+    the row calls of tests/oracles.py, entry by entry."""
+
+    def test_column_grid_equals_row_calls(self):
+        multi_peak = 0
+        for p in seeded_models(1500, 30):
+            d2s = np.geomspace(xc._D2_MIN, (2 * p.gamma - 1) * xc._D2_TOP,
+                               xc._N_GRID)
+            rs = np.geomspace(p.epsilon, xc._R_MAX, xc._N_GRID)
+            for _ in range(2):  # the first grid, then one 21 x 21 re-grid
+                ref = condition_f_rows(p, d2s, rs)
+                col = q.DeltaPair.from_delta2(d2s[:, None], p.gamma)
+                np.testing.assert_array_equal(q.condition_F(rs, p, col), ref,
+                                              strict=True)
+                if len(d2s) == xc._N_GRID:  # peaks of the profile in delta2
+                    prof = ref.max(axis=1)
+                    up = np.diff(prof) > 0.0
+                    multi_peak += np.count_nonzero(up[:-1] & ~up[1:]) > 1
+                i, j = np.unravel_index(int(np.argmax(ref)), ref.shape)
+                d2s = np.linspace(d2s[max(i - 1, 0)],
+                                  d2s[min(i + 1, len(d2s) - 1)], 21)
+                rs = np.linspace(rs[max(j - 1, 0)],
+                                 rs[min(j + 1, len(rs) - 1)], 21)
+        assert multi_peak >= 3
+
+    def test_one_condition_F_call_per_grid(self, monkeypatch):
+        calls = []
+        real = xc.condition_F
+
+        def counting(R, p, d):
+            calls.append(np.shape(d.delta2))
+            return real(R, p, d)
+
+        monkeypatch.setattr(xc, "condition_F", counting)
+        q.check_condition(params(beta=0.0), "I")
+        assert calls[0] == (xc._N_GRID, 1)
+        assert set(calls[1:]) == {(21, 1)}
 
 
 class TestRegionMachinery:
@@ -557,7 +646,6 @@ class TestRatioBand:
     far-field rows that close it past the grid's 10 R."""
 
     def test_readme_band_and_its_edges(self):
-        xc = q.explosion_criteria
         p = params()
         d, R = q.DeltaPair.from_delta2(SQ2M1, 1.0), 1.0 / SQ2M1  # sqrt2+1
         C = xc._c_growth(p, d)
@@ -600,15 +688,8 @@ class TestRatioBand:
         assert far_slack_min(spec, p) >= -1e-12
 
     def test_seeded_draw_certificates_hold_far_out(self):
-        rng = np.random.default_rng(20261019)
         built = 0
-        for _ in range(40):
-            gamma = rng.uniform(0.5, 1.0)
-            sigma = math.exp(rng.uniform(math.log(0.03), math.log(1.45)))
-            beta = rng.uniform(0.0, 1.05 * q.beta_max(sigma, gamma))
-            eps = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
-            p = q.ModelParams(sigma=sigma, beta=beta, gamma=gamma,
-                              epsilon=eps, lambda0=max(0.1, 2.0 * eps))
+        for p in seeded_models(20261019, 40):
             rep = q.check_condition(p, "II")
             if not rep.satisfied:
                 continue

@@ -210,6 +210,12 @@ class TestEurodollar:
         with pytest.raises(ConfigError):
             eurodollar_futures(params(), FLAT, cfg, 1.9, 0.5)
 
+    @pytest.mark.parametrize("T", [0.0, 0.005, -1.0])
+    def test_maturity_below_one_step(self, T):
+        cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=4, seed=9)
+        with pytest.raises(ConfigError, match=f"got T={T} dt=0.01"):
+            eurodollar_futures(params(), FLAT, cfg, T, 0.5)
+
 
 class TestDiscountConsistency:
     def test_zero_maturity(self):
@@ -217,6 +223,12 @@ class TestDiscountConsistency:
         est = discount_consistency_check(params(), FLAT, cfg, 0.0)
         assert est.mean == 1.0
         assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("T", [0.005, -1.0])
+    def test_maturity_below_one_step(self, T):
+        cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=10, seed=10)
+        with pytest.raises(ConfigError, match=f"T must be >= dt, got T={T}"):
+            discount_consistency_check(params(), FLAT, cfg, T)
 
     def test_tiny_noise_exact(self):
         p = params(sigma=1e-14, beta=0.0)
