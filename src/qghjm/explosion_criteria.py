@@ -95,7 +95,6 @@ __all__ = [
     "verify_a5_function",
 ]
 
-_COUPLING_TOL = 1e-12
 # delta2 scans run over [_D2_MIN, _D2_TOP * (2*gamma - 1)]
 _D2_MIN = 1e-4
 _D2_TOP = 1.0 - 1e-9
@@ -126,31 +125,23 @@ def _require_explosive(p: ModelParams) -> None:
 
 @dataclass(frozen=True)
 class DeltaPair:
-    """Exponent split with (1+delta1)(1+delta2) = 2*gamma, both positive.
-    The deltas may be arrays (a delta2 column), checked entry by entry."""
+    """Exponent split with (1+delta1)(1+delta2) = 2*gamma, both positive;
+    delta1 follows from delta2, which may be a column, checked per entry."""
 
-    delta1: float
     delta2: float
     gamma: float
 
     def __post_init__(self) -> None:
         _require_gamma(self.gamma)
-        if not (np.all(self.delta1 > 0.0) and np.all(self.delta2 > 0.0)):
-            raise ConfigError(
-                f"deltas must be positive, got ({self.delta1}, {self.delta2})")
-        resid = np.ravel((1 + self.delta1) * (1 + self.delta2) - 2 * self.gamma)
-        if np.any(abs(resid) > _COUPLING_TOL):
-            raise ConfigError("(1+delta1)(1+delta2) != 2*gamma (residual "
-                              f"{resid[np.argmax(abs(resid))]:.3e})")
+        hi = 2.0 * self.gamma - 1.0
+        if not np.all((0.0 < self.delta2) & (self.delta2 < hi)):
+            raise ConfigError(f"delta2 must lie in (0, {hi}), got {self.delta2}")
+        if not np.all(self.delta1 > 0.0):  # delta2 within rounding of 2*gamma-1
+            raise ConfigError(f"delta1 must be positive, got {self.delta1}")
 
-    @classmethod
-    def from_delta2(cls, delta2: float, gamma: float) -> "DeltaPair":
-        _require_gamma(gamma)
-        if not np.all((0.0 < delta2) & (delta2 < 2.0 * gamma - 1.0)):
-            raise ConfigError(
-                f"delta2 must lie in (0, {2.0 * gamma - 1.0}), got {delta2}")
-        return cls(delta1=2.0 * gamma / (1.0 + delta2) - 1.0,
-                   delta2=delta2, gamma=gamma)
+    @property
+    def delta1(self) -> float:
+        return 2.0 * self.gamma / (1.0 + self.delta2) - 1.0
 
 
 @dataclass(frozen=True)
@@ -352,18 +343,19 @@ def _sup_condition_i(p: ModelParams, d2_hi: float) -> tuple:
     _REFINE_TOL apart, each one condition_F call over a delta2 column. F
     can peak more than once in delta2, so the first grid is dense."""
     d2s = np.geomspace(_D2_MIN, d2_hi * _D2_TOP, _N_GRID)
-    rs = np.geomspace(p.epsilon, _R_MAX, _N_GRID)
+    # R in [epsilon, max(epsilon, _R_MAX)]; geomspace can round below epsilon
+    rs = np.geomspace(p.epsilon, max(p.epsilon, _R_MAX), _N_GRID).clip(p.epsilon)
     best = (-math.inf, d2s[0], rs[0])
     while True:
         with np.errstate(over="ignore"):  # F is -inf where A * [...] overflows
-            vals = condition_F(rs, p, DeltaPair.from_delta2(d2s[:, None], p.gamma))
+            vals = condition_F(rs, p, DeltaPair(d2s[:, None], p.gamma))
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[i, j] > best[0]:
             best = (float(vals[i, j]), float(d2s[i]), float(rs[j]))
         d2_lo, d2_up = d2s[max(i - 1, 0)], d2s[min(i + 1, len(d2s) - 1)]
         r_lo, r_up = rs[max(j - 1, 0)], rs[min(j + 1, len(rs) - 1)]
         if max(d2_up - d2_lo, r_up - r_lo) <= _REFINE_TOL:
-            return best[0], DeltaPair.from_delta2(best[1], p.gamma), best[2]
+            return best[0], DeltaPair(best[1], p.gamma), best[2]
         d2s, rs = np.linspace(d2_lo, d2_up, 21), np.linspace(r_lo, r_up, 21)
 
 
@@ -395,7 +387,7 @@ def check_condition(p: ModelParams, which: str) -> ConditionReport:
             d2 = bisect(lambda x: e * (1.0 + e) ** (-x - 1.0) * (1.0 - x * ln_e)
                         > 0.5 * _sigma2(p) * (2.0 * x + 1.0),
                         1.0 / e, d2_hi * _D2_TOP)[0]
-        deltas = DeltaPair.from_delta2(d2, p.gamma)
+        deltas = DeltaPair(d2, p.gamma)
         R = max(1.0 / d2, p.epsilon)
         sup = condition_G(R, deltas) - _a_const(p, deltas)
         ok = sup >= 0.0
@@ -550,6 +542,8 @@ def verify_generator_inequality(spec: LyapunovSpec,
     reads, and count violations: rows whose slack drops below -1e-12."""
     if spec.R < p.epsilon:
         raise DomainError(f"spec.R must be >= epsilon ({p.epsilon})")
+    if spec.deltas.gamma != p.gamma:  # far-field rows assume p.gamma
+        raise DomainError(f"spec.deltas.gamma must equal gamma ({p.gamma})")
     if spec.C < _c_growth(p, spec.deltas) - 1e-12:
         raise DomainError("spec.C is below the admissible growth constant")
     r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p)
@@ -574,7 +568,7 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     _require_explosive(p)
     d2_hi = 2.0 * p.gamma - 1.0
     candidates = [(report.witness_deltas, report.witness_R)] + [
-        (DeltaPair.from_delta2(d2, p.gamma), max(1.0 / d2, p.epsilon))
+        (DeltaPair(d2, p.gamma), max(1.0 / d2, p.epsilon))
         for d2 in (math.sqrt(2.0 * p.gamma) - 1.0,
                    0.25 * d2_hi, 0.5 * d2_hi, 0.75 * d2_hi)
         if 0.0 < d2 < d2_hi]

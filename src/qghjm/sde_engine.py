@@ -96,6 +96,9 @@ class SimConfig:
         if not self.dt <= self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and >= dt, "
                               f"got horizon={self.horizon} dt={self.dt}")
+        if not self.horizon / self.dt < 2 ** 63:  # n_steps is an int64 count
+            raise ConfigError(f"horizon/dt must be < 2**63, "
+                              f"got horizon={self.horizon} dt={self.dt}")
         if not 1 <= self.n_paths < 2 ** 63:  # a path index is an int64 key
             raise ConfigError(f"n_paths must be in [1, 2**63), got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:

@@ -66,7 +66,7 @@ def sample_nonempty_wedges(n: int, seed: int, max_tries: int = 100000):
         p = q.ModelParams(sigma=sigma, beta=beta, gamma=gamma, epsilon=0.01,
                           lambda0=0.1)
         d2 = rng.uniform(1e-3, 2.0 * gamma - 1.0 - 1e-6)
-        d = q.DeltaPair.from_delta2(d2, gamma)
+        d = q.DeltaPair(d2, gamma)
         R = math.exp(rng.uniform(math.log(0.01), math.log(1e3)))
         w = q.wedge_feasible_slopes(R, p, d)
         if w.nonempty and w.slope_lo is not None and w.slope_hi is not None \
@@ -123,5 +123,5 @@ def condition_f_rows(p: q.ModelParams, d2s, rs) -> np.ndarray:
     """Condition I's (delta2, R) grid one row at a time: a scalar DeltaPair
     and one condition_F call per delta2, the reference for the broadcast
     over a delta2 column."""
-    return np.array([q.condition_F(rs, p, q.DeltaPair.from_delta2(d2, p.gamma))
+    return np.array([q.condition_F(rs, p, q.DeltaPair(d2, p.gamma))
                      for d2 in map(float, d2s)])

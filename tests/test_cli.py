@@ -218,6 +218,10 @@ REGION = {"gammas": [1.0], "sigma": {"start": 0.1, "stop": 1.0, "num": 3}}
     # two gammas that name the same region_gamma_0.6.csv
     ("region", "region", dict(REGION, gammas=[0.6, 0.6000001])),
     ("verify", "verify", {"condition": "III"}),
+    # horizon/dt = 1e310 has no int64 step count (it raised OverflowError
+    # in simulate and ValueError from np.arange in price)
+    ("simulate", "sim", dict(SIM, dt=1e-300, horizon=1e10)),
+    ("price", "sim", dict(SIM, dt=1e-300, horizon=1e10)),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, command, section, value):
     obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
@@ -385,6 +389,24 @@ class TestVerify:
         data = json.loads((out / "verify.json").read_text())
         assert data["outcome"] == "condition unsatisfied"
         assert data["condition"]["sup_value"] is None  # -inf, as JSON null
+
+    @pytest.mark.parametrize("beta, code", [(0.0, 0), (0.05, 3)])
+    def test_condition_i_with_epsilon_above_scan_top(self, tmp_path, capsys,
+                                                     beta, code):
+        # epsilon 2e4 lies above condition I's R scan top 1e4: R runs over
+        # [epsilon, epsilon], never below epsilon
+        cfg = write_config(tmp_path / "v.json", {
+            "model": dict(MODEL, beta=beta, epsilon=2e4, lambda0=4e4),
+            "verify": {"condition": "I"}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == code
+        data = json.loads((out / "verify.json").read_text())
+        if code == 0:
+            assert data["condition"]["witness_R"] >= 2e4
+            assert data["verification"]["violations"] == 0
+        else:
+            assert capsys.readouterr().out.startswith("condition I unsatisfied")
+            assert data["outcome"] == "condition unsatisfied"
 
     def test_non_explosive_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "v.json",

@@ -32,28 +32,42 @@ class TestDeltaPair:
         d2 = frac * (2.0 * gamma - 1.0)
         if d2 <= 0.0 or d2 >= 2.0 * gamma - 1.0:
             return
-        d = q.DeltaPair.from_delta2(d2, gamma)
+        d = q.DeltaPair(d2, gamma)
         assert d.delta1 > 0.0
         assert d.delta1 < 1.0 and d.delta2 < 1.0
         assert abs((1 + d.delta1) * (1 + d.delta2) - 2 * gamma) <= 1e-12
 
     def test_validation(self):
-        with pytest.raises(q.ConfigError):
-            q.DeltaPair(delta1=0.5, delta2=0.5, gamma=1.0)
-        with pytest.raises(q.ConfigError):
-            q.DeltaPair.from_delta2(1.0, 1.0)
-        with pytest.raises(q.ConfigError):
-            q.DeltaPair.from_delta2(0.0, 1.0)
+        # delta2 outside the open interval (0, 2*gamma - 1), ends included
+        for d2, gamma in [(1.0, 1.0), (0.0, 1.0), (math.nan, 1.0),
+                          (0.0, 0.6), (2 * 0.6 - 1, 0.6), (math.nan, 0.6)]:
+            with pytest.raises(q.ConfigError, match="delta2 must lie in"):
+                q.DeltaPair(d2, gamma)
         with pytest.raises(q.GammaOutOfRange):
-            q.DeltaPair.from_delta2(0.1, 0.5)
+            q.DeltaPair(0.1, 0.5)
+
+    def test_delta1_is_derived(self):
+        for gamma, d2 in [(1.0, SQ2M1), (0.8, 0.5), (0.6, 0.1)]:
+            want = 2.0 * gamma / (1.0 + d2) - 1.0
+            assert q.DeltaPair(d2, gamma).delta1 == want
+        d2s = np.geomspace(1e-4, 0.79, 50)[:, None]
+        np.testing.assert_array_equal(q.DeltaPair(d2s, 0.9).delta1,
+                                      2.0 * 0.9 / (1.0 + d2s) - 1.0)
+
+    def test_delta1_rounding_to_zero_rejected(self):
+        # delta2 = 1 - 2^-53 lies inside (0, 1), but 2/(1+delta2) - 1 is 0.0
+        d2 = 1.0 - 2.0 ** -53
+        assert 0.0 < d2 < 1.0 and 2.0 / (1.0 + d2) - 1.0 == 0.0
+        with pytest.raises(q.ConfigError, match="delta1 must be positive"):
+            q.DeltaPair(d2, 1.0)
 
     def test_column_matches_scalar_pairs(self):
         d2s = np.geomspace(1e-4, 0.79, 50)
-        col = q.DeltaPair.from_delta2(d2s[:, None], 0.9)
+        col = q.DeltaPair(d2s[:, None], 0.9)
         assert col.delta1.shape == col.delta2.shape == (50, 1)
         np.testing.assert_array_equal(
             col.delta1[:, 0],
-            [q.DeltaPair.from_delta2(float(x), 0.9).delta1 for x in d2s])
+            [q.DeltaPair(float(x), 0.9).delta1 for x in d2s])
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0, math.nan])
     def test_column_with_one_entry_outside_rejected(self, bad):
@@ -61,31 +75,20 @@ class TestDeltaPair:
         d2s = np.geomspace(1e-4, 0.9, 50)[:, None]
         d2s[17] = bad
         with pytest.raises(q.ConfigError, match="delta2 must lie in"):
-            q.DeltaPair.from_delta2(d2s, 1.0)
-
-    def test_column_checks_every_entry(self):
-        d2 = np.array([0.1, 0.5, 0.3])
-        d1 = 2.0 / (1.0 + d2) - 1.0
-        with pytest.raises(q.ConfigError, match="deltas must be positive"):
-            q.DeltaPair(delta1=np.array([d1[0], -0.1, d1[2]]), delta2=d2,
-                        gamma=1.0)
-        # the message names the largest residual, with its sign
-        with pytest.raises(q.ConfigError, match=r"residual -1\.000e-01"):
-            q.DeltaPair(delta1=d1 - [0.0, 0.0, 0.1 / 1.3], delta2=d2,
-                        gamma=1.0)
+            q.DeltaPair(d2s, 1.0)
 
 
 class TestConditionF:
     def test_large_beta_negative(self):
         p = params(beta=100.0)
-        d = q.DeltaPair.from_delta2(0.5, 1.0)
+        d = q.DeltaPair(0.5, 1.0)
         for R in (0.01, 1.0, 10.0, 1e4):
             assert q.condition_F(R, p, d) < 0.0
 
     def test_frozen_value(self):
         # frozen from a 50-digit evaluation of the displayed formula
         p = params(beta=0.0)
-        d = q.DeltaPair(delta1=SQ2M1, delta2=SQ2M1, gamma=1.0)
+        d = q.DeltaPair(delta2=SQ2M1, gamma=1.0)
         got = q.condition_F(10.0, p, d)
         assert got == pytest.approx(70.59882433110513, rel=1e-13)
         with mp.workdps(50):
@@ -100,31 +103,30 @@ class TestConditionF:
     def test_exponent_identity(self):
         # R^(2g-1) == R^(d1 d2 + d1 + d2) for any consistent pair
         for gamma, d2 in [(1.0, 0.3), (0.8, 0.5), (0.6, 0.1)]:
-            d = q.DeltaPair.from_delta2(d2, gamma)
+            d = q.DeltaPair(d2, gamma)
             e = d.delta1 * d.delta2 + d.delta1 + d.delta2
             assert e == pytest.approx(2 * gamma - 1, abs=1e-12)
 
     def test_domain(self):
         p = params()
-        d = q.DeltaPair.from_delta2(0.5, 1.0)
+        d = q.DeltaPair(0.5, 1.0)
         with pytest.raises(q.DomainError):
             q.condition_F(0.005, p, d)
 
 
 class TestConditionG:
     def test_simple_value(self):
-        d = q.DeltaPair(delta1=0.0 + 2.0 / 2.0 - 1.0 + 1e-16, delta2=1.0 - 1e-16,
-                        gamma=1.0)
+        d = q.DeltaPair(delta2=1.0 - 1e-12, gamma=1.0)
         assert q.condition_G(1.0, d) == pytest.approx(0.25, rel=1e-12)
 
     def test_vanishes_at_extremes(self):
-        d = q.DeltaPair.from_delta2(0.5, 1.0)
+        d = q.DeltaPair(0.5, 1.0)
         assert q.condition_G(1e-12, d) < 1e-6
         assert q.condition_G(1e12, d) < 1e-6
 
     def test_peak_location_and_value(self):
         for d2 in (0.2, 0.5, 0.9):
-            d = q.DeltaPair.from_delta2(d2, 1.0)
+            d = q.DeltaPair(d2, 1.0)
             Rs = np.geomspace(1e-4, 100.0 / d2, 20001)
             vals = q.condition_G(Rs, d)
             i = int(np.argmax(vals))
@@ -141,6 +143,14 @@ class TestCheckCondition:
         assert rep.satisfied
         assert rep.sup_value >= 0.0
         assert rep.witness_R == pytest.approx(1.0 / rep.witness_deltas.delta2)
+
+    @pytest.mark.parametrize("eps", [1e4, 2e4, 3.3e4])
+    def test_condition_i_scans_from_epsilon_past_r_max(self, eps):
+        # at or past the scan top 1e4 the R grid is epsilon alone, even
+        # where geomspace(eps, eps) rounds points below eps (3.3e4)
+        rep = q.check_condition(params(beta=0.0, epsilon=eps,
+                                       lambda0=2.0 * eps), "I")
+        assert rep.satisfied and eps <= rep.witness_R <= eps * (1 + 1e-15)
 
     def test_condition_ii_sigma_above_sqrt2(self):
         p = params(sigma=2.0, beta=0.0, gamma=0.6)
@@ -173,7 +183,7 @@ class TestCheckCondition:
         d2s = np.linspace(1e-4, 1.0 - 1e-9, 4001)
         for beta in (0.0, 0.06, 0.08):
             brute = max(q.condition_G(max(1.0 / d, eps),
-                                      q.DeltaPair.from_delta2(d, 1.0))
+                                      q.DeltaPair(d, 1.0))
                         - 2 * beta - 0.5 * sigma ** 2 * d * (d + 1)
                         for d in d2s)
             p = params(sigma=sigma, beta=beta, epsilon=eps, lambda0=6.0)
@@ -185,7 +195,7 @@ class TestCheckCondition:
                 # the witness beats its delta2 neighbours on R = epsilon
                 d2 = rep.witness_deltas.delta2
                 for x in (d2 - 1e-6, d2 + 1e-6):
-                    m = (q.condition_G(eps, q.DeltaPair.from_delta2(x, 1.0))
+                    m = (q.condition_G(eps, q.DeltaPair(x, 1.0))
                          - 2 * beta - 0.5 * sigma ** 2 * x * (x + 1))
                     assert rep.sup_value >= m
 
@@ -208,7 +218,7 @@ class TestCheckCondition:
         hi = 2 * p.gamma - 1
         rs = np.geomspace(p.epsilon, 1e4, 1001)
         brute = max(
-            q.condition_F(rs, p, q.DeltaPair.from_delta2(d, p.gamma)).max()
+            q.condition_F(rs, p, q.DeltaPair(d, p.gamma)).max()
             for d in np.geomspace(1e-4, hi * (1 - 1e-9), 1001))
         assert q.check_condition(p, "I").sup_value >= brute
 
@@ -261,7 +271,7 @@ class TestConditionIGrid:
             rs = np.geomspace(p.epsilon, xc._R_MAX, xc._N_GRID)
             for _ in range(2):  # the first grid, then one 21 x 21 re-grid
                 ref = condition_f_rows(p, d2s, rs)
-                col = q.DeltaPair.from_delta2(d2s[:, None], p.gamma)
+                col = q.DeltaPair(d2s[:, None], p.gamma)
                 np.testing.assert_array_equal(q.condition_F(rs, p, col), ref,
                                               strict=True)
                 if len(d2s) == xc._N_GRID:  # peaks of the profile in delta2
@@ -401,14 +411,14 @@ class TestKappas:
     def test_frozen_values(self):
         # frozen from a 50-digit evaluation
         p = params()
-        d = q.DeltaPair.from_delta2(0.5, 1.0)
+        d = q.DeltaPair(0.5, 1.0)
         k1, k2 = q.kappas(2.0, p, d)
         assert k1 == pytest.approx(14.80974051303373, rel=1e-13)
         assert k2 == pytest.approx(0.4225369806300982, rel=1e-13)
 
     def test_large_R_limit(self):
         p = params()
-        d = q.DeltaPair.from_delta2(0.5, 1.0)
+        d = q.DeltaPair(0.5, 1.0)
         k1, k2 = q.kappas(1e9, p, d)
         A = 2 * p.beta + 0.5 * p.sigma ** 2 * 0.5 * 1.5
         assert k1 == pytest.approx(A / (d.delta1 * p.sigma ** 2), rel=1e-8)
@@ -416,7 +426,7 @@ class TestKappas:
 
     def test_equal_delta_ratio(self):
         p = params(beta=0.0)
-        d = q.DeltaPair(delta1=SQ2M1, delta2=SQ2M1, gamma=1.0)
+        d = q.DeltaPair(delta2=SQ2M1, gamma=1.0)
         k1, k2 = q.kappas(3.0, p, d)
         assert k2 / k1 == pytest.approx(p.sigma ** 2, rel=1e-12)
 
@@ -424,7 +434,7 @@ class TestKappas:
 class TestWedge:
     def test_huge_beta_empty(self):
         p = params(beta=100.0)
-        d = q.DeltaPair.from_delta2(0.5, 1.0)
+        d = q.DeltaPair(0.5, 1.0)
         w = q.wedge_feasible_slopes(2.0, p, d)
         assert not w.nonempty
         assert w.slope_lo is None and w.slope_hi is None
@@ -437,7 +447,7 @@ class TestWedge:
             gamma = rng.uniform(0.55, 1.0)
             p = params(sigma=rng.uniform(0.05, 0.8),
                        beta=rng.uniform(0.0, 0.02), gamma=gamma)
-            d = q.DeltaPair.from_delta2(
+            d = q.DeltaPair(
                 rng.uniform(1e-3, 2 * gamma - 1 - 1e-6), gamma)
             R = math.exp(rng.uniform(math.log(0.01), math.log(1e3)))
             w = q.wedge_feasible_slopes(R, p, d)
@@ -469,7 +479,7 @@ class TestWedge:
         # exactly 1, so ineq1 holds only by rounding kappa1 = 2e-17 away;
         # no slope has b R^(-d2) > kappa2 b, and lo would divide by zero
         p = params(sigma=1.0, beta=0.0)
-        w = q.wedge_feasible_slopes(1.0, p, q.DeltaPair.from_delta2(1e-17, 1.0))
+        w = q.wedge_feasible_slopes(1.0, p, q.DeltaPair(1e-17, 1.0))
         assert w.ineq1_holds and not w.ineq2_holds
         assert w.kind == "empty" and w.slope_lo is None
 
@@ -479,7 +489,7 @@ class TestConditionVariants:
     def _margin(p, d2, weight):
         # condition-II margin with the mean-reversion weight made explicit:
         # weight = 2 is the plain form, weight = max(2 d1, d2) the sharper one
-        d = q.DeltaPair.from_delta2(d2, p.gamma)
+        d = q.DeltaPair(d2, p.gamma)
         w = 2.0 if weight == "plain" else max(2.0 * d.delta1, d.delta2)
         r0 = max(1.0 / d2, p.epsilon)
         return q.condition_G(r0, d) - (w * p.beta + 0.5 * p.sigma ** 2
@@ -516,7 +526,7 @@ class TestConditionVariants:
         assert not q.check_condition(p1, "I").satisfied
         found = False
         for d2 in np.geomspace(1e-3, 1.0 - 1e-9, 50):
-            d = q.DeltaPair.from_delta2(float(d2), 1.0)
+            d = q.DeltaPair(float(d2), 1.0)
             for R in np.geomspace(p1.epsilon, 1e4, 60):
                 if q.wedge_feasible_slopes(float(R), p1, d).nonempty:
                     found = True
@@ -633,6 +643,10 @@ class TestBuildAndVerify:
                                deltas=spec.deltas, R=spec.R, C=spec.C / 10)
         with pytest.raises(q.DomainError):
             q.verify_generator_inequality(low_c, p)
+        # a split built for another gamma: the far-field rows would not hold
+        for gamma in (0.9, 0.75):
+            with pytest.raises(q.DomainError, match="gamma"):
+                q.verify_generator_inequality(spec, params(gamma=gamma))
 
 
 def far_slack_min(spec, p):
@@ -647,7 +661,7 @@ class TestRatioBand:
 
     def test_readme_band_and_its_edges(self):
         p = params()
-        d, R = q.DeltaPair.from_delta2(SQ2M1, 1.0), 1.0 / SQ2M1  # sqrt2+1
+        d, R = q.DeltaPair(SQ2M1, 1.0), 1.0 / SQ2M1  # sqrt2+1
         C = xc._c_growth(p, d)
         lo, hi = xc._ratio_band(*xc._slack_rows(d, R, C, p)[2:])
         assert lo == pytest.approx(0.343, abs=5e-4)
@@ -706,14 +720,14 @@ class TestLyapunovSpec:
     @pytest.mark.parametrize("field", ["c1", "c2", "c3", "R", "C"])
     def test_infinite_constant_rejected(self, field):
         kw = dict(c1=2.0, c2=1.0, c3=1.0, R=4.0, C=0.1,
-                  deltas=q.DeltaPair.from_delta2(0.5, 1.0))
+                  deltas=q.DeltaPair(0.5, 1.0))
         with pytest.raises(q.ConfigError, match="positive and finite"):
             q.LyapunovSpec(**dict(kw, **{field: math.inf}))
 
 
 class TestK0:
     def make_spec(self, c2, c3, R, d2=0.5):
-        d = q.DeltaPair.from_delta2(d2, 1.0)
+        d = q.DeltaPair(d2, 1.0)
         return q.LyapunovSpec(c1=c2 + c3, c2=c2, c3=c3, deltas=d, R=R, C=0.1)
 
     def test_positive_when_budget_tight(self):
@@ -726,7 +740,7 @@ class TestK0:
                                            rel=1e-10)
 
     def test_symmetric_case(self):
-        d = q.DeltaPair(delta1=SQ2M1, delta2=SQ2M1, gamma=1.0)
+        d = q.DeltaPair(delta2=SQ2M1, gamma=1.0)
         spec = q.LyapunovSpec(c1=2.0, c2=1.0, c3=1.0, deltas=d, R=4.0, C=0.1)
         want = spec.c1 - spec.c2 * (1.0 + (1.0 + 4.0) ** -SQ2M1)
         assert q.k0(spec) == pytest.approx(want, rel=1e-14)

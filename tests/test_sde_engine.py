@@ -51,6 +51,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(**base)
 
+    def test_step_count_must_fit_int64(self):
+        # horizon/dt = 1e310 overflows to inf; 2**63 steps is one too many
+        with pytest.raises(ConfigError, match=r"horizon/dt .* "
+                           r"horizon=10000000000\.0 dt=1e-300"):
+            SimConfig(dt=1e-300, horizon=1e10, n_paths=1, seed=1)
+        with pytest.raises(ConfigError, match="horizon/dt"):
+            SimConfig(dt=1.0, horizon=2.0 ** 63, n_paths=1, seed=1)
+        top = SimConfig(dt=1.0, horizon=2.0 ** 63 - 1024, n_paths=1, seed=1)
+        assert top.n_steps == 2 ** 63 - 1024
+
     def test_threshold_must_clear_dynamics(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=1,
                         explosion_threshold=0.5)
