@@ -176,12 +176,6 @@ class ForwardCurve:
         out = np.exp(-self.integral(T))
         return out if np.ndim(T) else float(out)
 
-    def shifted(self, a: float) -> "ForwardCurve":
-        """The curve lambda(t) + a (used by the displaced-model reduction)."""
-        if a == 0.0:
-            return self
-        return ForwardCurve(np.column_stack([self._t, self._v + a]))
-
     def satisfies_lower_bound(self, beta: float) -> bool:
         """Test lambda'(t) + beta*lambda(t) >= beta*lambda(0) at all knots.
 

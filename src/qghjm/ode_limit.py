@@ -6,10 +6,10 @@ Dropping the Brownian term leaves the planar system
     y'(t) = sigma^2 r(t)^2 - 2*beta*y(t)
 
 from (lambda(0), 0): the drifts of model_core.coefficients, sigma*r
-being the model's sigma_r (0 for r <= 0, capped at vol_cap). Uncapped,
-on a flat curve the solution blows up in finite time when
-beta < beta_C = sigma*sqrt(2*lambda0) and otherwise converges to the
-stable rate
+being the model's sigma_r (sigma*(r + displacement), 0 where that is
+<= 0, capped at vol_cap). Uncapped and undisplaced, on a flat curve the
+solution blows up in finite time when beta < beta_C = sigma*sqrt(2*lambda0)
+and otherwise converges to the stable rate
 (beta^2/sigma^2) * (1 - sqrt(1 - 2*sigma^2*lambda0/beta^2)). The limit is
 only defined for gamma = 1; other exponents are rejected.
 
@@ -23,7 +23,7 @@ is u -> 0 as s -> inf with v bounded; t nears t_exp with remainder ~ 2u/v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,19 +110,15 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
         raise DomainError(f"horizon must be in (0, inf), got {horizon}")
     if not tol >= 100 * np.finfo(float).eps:  # above the rounding of w
         raise DomainError(f"tol must be >= 2.22e-14, got {tol}")
-    # the shifted rate on the shifted curve, as in the Euler step
-    shift = p.displacement
-    p0 = replace(p, displacement=0.0)
-    crv = curve.shifted(shift)
 
     def rhs(w):
         t, u, v = w
         u3 = u * u * u
-        mu_r, mu_y, _ = coefficients(u / u3, v / u3, *crv.rate_and_slope(t),
-                                     p0)
+        lam, dlam = curve.rate_and_slope(t)
+        mu_r, mu_y, _ = coefficients(u / u3, v / u3, lam, dlam, p)
         return u, -0.5 * u * u3 * mu_r, u * u3 * mu_y - 1.5 * v * u3 * mu_r
 
-    rows = [np.array([0.0, crv.lambda0 ** -0.5, 0.0])]
+    rows = [np.array([0.0, curve.lambda0 ** -0.5, 0.0])]
     with np.errstate(over="ignore", invalid="ignore"):
         for w, nfev in _dopri54(rhs, rows[0], tol ** 0.2 * rows[0][1], tol,
                                 float(horizon)):
@@ -130,7 +126,7 @@ def ode_integrate(p: ModelParams, curve: ForwardCurve, horizon: float,
             if exploded := bool(2.0 * w[1] <= tol * w[0] * w[2]):
                 break
     t, u, v = np.array(rows).T
-    trace = np.column_stack([t, u ** -2 - shift, v * u ** -3])
+    trace = np.column_stack([t, u ** -2, v * u ** -3])
     return OdeResult(
         exploded=exploded,
         t_exp=float(t[-1] + 2.0 * u[-1] / v[-1]) if exploded else math.inf,

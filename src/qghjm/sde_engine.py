@@ -26,11 +26,10 @@ steps, then the counter, buffer and buffer_pos that the table carried over.
 A block is step-major, one column per path live at its start, so a step
 reads a whole row until a path dies in that block. The step evaluates
 model_core.coefficients into preallocated buffers (out=, same per-element
-order and bits) at the shifted rate on the shifted curve; the displacement
-is taken off every emitted r. A path stops at the first step whose update
-gives r or y at or above the explosion threshold, or a non-finite value:
-tau_hat is the left edge of that step (bias at most dt), the path keeps its
-last good state, and the live arrays are compacted on that step only.
+order and bits). A path stops at the first step whose update gives r or y
+at or above the explosion threshold, or a non-finite value: tau_hat is the
+left edge of that step (bias at most dt), the path keeps its last good
+state, and the live arrays are compacted on that step only.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -45,14 +44,14 @@ import math
 import mmap
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from ._csv import CHUNK as _CSV_ROWS, append_rows, write_rows
 from ._search import bisect
-from .errors import ConfigError, from_json
+from .errors import ConfigError, DomainError, from_json
 from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = [
@@ -77,10 +76,11 @@ _STAGE = 1 << 16  # doubles in a worker's path-major noise stage
 class SimConfig:
     """Euler simulation settings.
 
-    dt and horizon are in years; the step count is round(horizon / dt).
-    explosion_threshold is the level at which a path is declared exploded
-    (it must sit far above the normal dynamics). record_stride stores every
-    k-th step when path recording is requested.
+    dt and horizon are in years; the step count is round(horizon / dt),
+    and it and n_paths are below 2**60. A path explodes at the first step
+    where r (the model's own rate) or y reaches explosion_threshold, which
+    must sit far above the normal dynamics, or turns non-finite.
+    record_stride stores every k-th step when path recording is requested.
     """
 
     dt: float
@@ -96,11 +96,12 @@ class SimConfig:
         if not self.dt <= self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and >= dt, "
                               f"got horizon={self.horizon} dt={self.dt}")
-        if not self.horizon / self.dt < 2 ** 63:  # n_steps is an int64 count
-            raise ConfigError(f"horizon/dt must be < 2**63, "
+        # a float64 array of n_steps or n_paths must stay under 2**63 bytes
+        if not self.horizon / self.dt < 2 ** 60:
+            raise ConfigError(f"horizon/dt must be < 2**60, "
                               f"got horizon={self.horizon} dt={self.dt}")
-        if not 1 <= self.n_paths < 2 ** 63:  # a path index is an int64 key
-            raise ConfigError(f"n_paths must be in [1, 2**63), got {self.n_paths}")
+        if not 1 <= self.n_paths < 2 ** 60:
+            raise ConfigError(f"n_paths must be in [1, 2**60), got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.explosion_threshold > 0.0:
@@ -180,12 +181,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     if np.any(idx < 0):
         raise ConfigError("path indices must be >= 0")
     n = len(idx)
-    # the shifted rate on the shifted curve, with the shift taken off
-    # every emitted r: the displaced/shifted identity then holds bit for bit
-    shift = p.displacement
-    p0 = replace(p, displacement=0.0)
-    crv = curve.shifted(shift)
-    lam, dlam = crv.rate_and_slope(cfg.dt * np.arange(n_steps))
+    lam, dlam = curve.rate_and_slope(cfg.dt * np.arange(n_steps))
     dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
     thr, stride = cfg.explosion_threshold, cfg.record_stride
 
@@ -209,8 +205,8 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         tau_c, tr_c, ty_c, ld_c = (None if a is None else a[lo:hi]
                                    for a in (tau, term_r, term_y, ldisc))
         rr_c, ry_c = (None if a is None else a[:, lo:hi] for a in (rec_r, rec_y))
-        r, y = np.full(w, crv.lambda0), np.zeros(w)
-        rn, yn, mu_r, mu_y, sr, tmp = np.empty((6, w))
+        r, y = np.full(w, curve.lambda0), np.zeros(w)
+        rn, yn, mu_r, mu_y, sr = np.empty((5, w))
         disc = None if ldisc is None else np.zeros(w)
 
         for k0 in range(0, n_steps, _NOISE_BLOCK):
@@ -240,11 +236,11 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                 if not cols.size:
                     break
                 if rr_c is not None and k % stride == 0:
-                    rr_c[k // stride, cols] = r - shift
+                    rr_c[k // stride, cols] = r
                     ry_c[k // stride, cols] = y
-                if disc is not None:
-                    disc += np.multiply(np.subtract(r, shift, out=tmp), dt, out=tmp)
-                coefficients(r, y, lam[k], dlam[k], p0, out=(mu_r, mu_y, sr))
+                if disc is not None:  # mu_r as scratch
+                    disc += np.multiply(r, dt, out=mu_r)
+                coefficients(r, y, lam[k], dlam[k], p, out=(mu_r, mu_y, sr))
                 z = noise[k - k0] if ncol is None else noise[k - k0, ncol]
                 # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
                 np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
@@ -260,20 +256,20 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                 dead = ~ok
                 at = cols[dead]
                 tau_c[at] = k * dt
-                tr_c[at] = r[dead] - shift
+                tr_c[at] = r[dead]
                 ty_c[at] = y[dead]
                 if disc is not None:
                     ld_c[at] = disc[dead]
                     disc = disc[ok]
                 ncol = (np.arange(len(cols)) if ncol is None else ncol)[ok]
                 cols, r, y = cols[ok], rn[ok], yn[ok]
-                rn, yn, mu_r, mu_y, sr, tmp = (
-                    a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr, tmp))
+                rn, yn, mu_r, mu_y, sr = (
+                    a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
 
         if rr_c is not None and n_steps % stride == 0:
-            rr_c[n_steps // stride, cols] = r - shift
+            rr_c[n_steps // stride, cols] = r
             ry_c[n_steps // stride, cols] = y
-        tr_c[cols] = r - shift
+        tr_c[cols] = r
         ty_c[cols] = y
         if disc is not None:
             ld_c[cols] = disc
@@ -340,6 +336,9 @@ def clopper_pearson_upper95(hits: int, n: int) -> float:
     with log C(n, j) from one cumulative sum; it falls as p grows, so the
     bound is bisected down to adjacent doubles.
     """
+    if not (0 <= hits <= n and n >= 1):
+        raise DomainError(f"need 0 <= hits <= n and n >= 1, "
+                          f"got hits={hits} n={n}")
     j = np.arange(hits + 1)
     log_c = np.concatenate(([0.0], np.cumsum(np.log((n - j[1:] + 1) / j[1:]))))
 

@@ -493,6 +493,23 @@ class TestOde:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, sim", [
+    ("simulate", dict(SIM, n_paths=2 ** 62)),
+    ("simulate", dict(SIM, dt=1.0, horizon=2.3e18)),
+    ("price", dict(SIM, dt=1.0, horizon=2.3e18)),
+])
+def test_count_past_largest_array_exits_2(tmp_path, capsys, command, sim):
+    # a float64 array of 2**60 entries is 2**63 bytes, past numpy's largest
+    # array: the config check rejects these counts before any array is made
+    cfg = write_config(tmp_path / "c.json", {
+        "model": MODEL, "curve": CURVE, "sim": sim,
+        "price": {"T": 2.0, "delta": 0.5}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "2**60" in err
+    assert not list(tmp_path.glob("o/*"))  # no partial output
+
+
 @pytest.mark.parametrize("command, extra", [
     ("simulate", {}),
     ("ode", {"ode": {"horizon": 10.0}}),

@@ -230,12 +230,6 @@ class TestForwardCurve:
         assert np.array_equal(flat.integral(ts), ts * lam)
         assert flat.to_json() == {"kind": "flat", "lambda0": lam}
 
-    def test_shifted(self):
-        tab = ForwardCurve.tabulated([[0.0, 0.1], [3.0, 0.2]])
-        sh = tab.shifted(0.05)
-        assert sh.value(1.0) == pytest.approx(tab.value(1.0) + 0.05)
-        assert sh.slope(1.0) == pytest.approx(tab.slope(1.0))
-
 
 def drift(r, y, t, p, curve):
     """(mu_r, mu_y) of the (r, y) system at time t on the curve."""

@@ -139,9 +139,12 @@ class TestBlowup:
 
     def test_displaced_reduction(self):
         a = 0.05
-        res_d = ode_integrate(params(displacement=a, beta=0.2), FLAT, 50.0)
+        # two parameterizations of one model, integrated apart: tol 1e-12
+        # brings their terminal rates within rel 1e-12 (1e-10 does not)
+        res_d = ode_integrate(params(displacement=a, beta=0.2), FLAT, 50.0,
+                              tol=1e-12)
         res_s = ode_integrate(params(lambda0=0.1 + a, beta=0.2),
-                              ForwardCurve.flat(0.1 + a), 50.0)
+                              ForwardCurve.flat(0.1 + a), 50.0, tol=1e-12)
         assert res_d.terminal[0] == pytest.approx(res_s.terminal[0] - a,
                                                   rel=1e-12)
 

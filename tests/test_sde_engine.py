@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import qghjm
-from qghjm import (ConfigError, ForwardCurve, ModelParams, SimConfig,
-                   coefficients, discount_estimate, expectation_functional,
-                   explosion_probability, ode_integrate,
-                   pathwise_discount_factors, sigma_r, simulate_batch)
+from qghjm import (ConfigError, DomainError, ForwardCurve, ModelParams,
+                   SimConfig, coefficients, discount_estimate,
+                   expectation_functional, explosion_probability,
+                   ode_integrate, pathwise_discount_factors, sigma_r,
+                   simulate_batch)
 from qghjm import sde_engine as eng
 from qghjm.sde_engine import write_explosions_csv, write_paths_csv
 
@@ -39,11 +40,31 @@ def samples(batch):
     return rows[~np.isnan(rows[:, 1])]
 
 
+def scalar_euler(p, curve, cfg, i):
+    """(tau_hat, r_T, y_T, log_discount) of path i from a scalar Euler loop
+    on a fresh Philox(key=[seed, i]) stream."""
+    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+    sqrt_dt, thr = math.sqrt(cfg.dt), cfg.explosion_threshold
+    r, y, tau, disc = curve.lambda0, 0.0, math.inf, 0.0
+    for k in range(cfg.n_steps):
+        t = k * cfg.dt
+        disc += r * cfg.dt
+        mu_r, mu_y, sr = coefficients(r, y, curve.value(t), curve.slope(t), p)
+        rn = r + mu_r * cfg.dt + sr * sqrt_dt * gen.standard_normal()
+        yn = max(y + mu_y * cfg.dt, 0.0)
+        if not (rn < thr and yn < thr and rn > -math.inf):
+            tau = t
+            break
+        r, y = rn, yn
+    return tau, r, y, disc
+
+
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"dt": -0.1}, {"horizon": 0.005}, {"n_paths": 0},
         {"record_stride": 0}, {"explosion_threshold": -1.0},
         {"horizon": math.inf}, {"n_paths": 2 ** 63}, {"n_paths": 10 ** 400},
+        {"n_paths": 2 ** 60},
     ])
     def test_invalid(self, kw):
         base = dict(dt=0.01, horizon=1.0, n_paths=10, seed=1)
@@ -52,14 +73,15 @@ class TestConfig:
             SimConfig(**base)
 
     def test_step_count_must_fit_int64(self):
-        # horizon/dt = 1e310 overflows to inf; 2**63 steps is one too many
+        # horizon/dt = 1e310 overflows to inf; 2**60 steps is one too many,
+        # as a float64 array of 2**60 entries is past numpy's 2**63 bytes
         with pytest.raises(ConfigError, match=r"horizon/dt .* "
                            r"horizon=10000000000\.0 dt=1e-300"):
             SimConfig(dt=1e-300, horizon=1e10, n_paths=1, seed=1)
-        with pytest.raises(ConfigError, match="horizon/dt"):
-            SimConfig(dt=1.0, horizon=2.0 ** 63, n_paths=1, seed=1)
-        top = SimConfig(dt=1.0, horizon=2.0 ** 63 - 1024, n_paths=1, seed=1)
-        assert top.n_steps == 2 ** 63 - 1024
+        with pytest.raises(ConfigError, match=r"horizon/dt must be < 2\*\*60"):
+            SimConfig(dt=1.0, horizon=2.0 ** 60, n_paths=1, seed=1)
+        top = SimConfig(dt=1.0, horizon=2.0 ** 60 - 1024, n_paths=1, seed=1)
+        assert top.n_steps == 2 ** 60 - 1024
 
     def test_threshold_must_clear_dynamics(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=1,
@@ -164,21 +186,25 @@ class TestDeterminism:
                 for f in ("path_index", "exploded", "tau_hat", "terminal_r",
                           "terminal_y", "log_discount"):
                     assert getattr(one, f)[0] == getattr(batch, f)[pos], f
-        n_steps = round(cfg.horizon / cfg.dt)
-        sqrt_dt = math.sqrt(cfg.dt)
         for pos, i in enumerate(order):
-            gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
-            r, y, tau = 0.1, 0.0, math.inf
-            for k in range(n_steps):
-                mu_r, mu_y, sr = coefficients(r, y, 0.1, 0.0, p)
-                rn = r + mu_r * cfg.dt + sr * sqrt_dt * gen.standard_normal()
-                yn = max(y + mu_y * cfg.dt, 0.0)
-                if not (rn < 1e6 and yn < 1e6 and rn > -math.inf):
-                    tau = k * cfg.dt
-                    break
-                r, y = rn, yn
-            assert (tau, r, y) == (batch.tau_hat[pos], batch.terminal_r[pos],
-                                   batch.terminal_y[pos])
+            assert scalar_euler(p, FLAT, cfg, i) == (
+                batch.tau_hat[pos], batch.terminal_r[pos],
+                batch.terminal_y[pos], batch.log_discount[pos])
+
+    def test_displaced_matches_scalar_recursion(self):
+        # a displaced model on a tabulated curve steps its own rate: the
+        # threshold applies to r, not r + displacement; gamma = 1, since
+        # numpy's scalar and array pow may round differently
+        p = params(sigma=0.5, beta=0.01, displacement=0.5)
+        curve = ForwardCurve.tabulated([[0.0, 0.1], [5.0, 0.12], [20.0, 0.09]])
+        cfg = SimConfig(dt=0.02, horizon=6.0, n_paths=40, seed=62,
+                        explosion_threshold=1.0)
+        batch = simulate_batch(p, curve, cfg, want_discount=True)
+        assert 0 < batch.exploded.sum() < cfg.n_paths
+        for i in range(cfg.n_paths):
+            assert scalar_euler(p, curve, cfg, i) == (
+                batch.tau_hat[i], batch.terminal_r[i], batch.terminal_y[i],
+                batch.log_discount[i])
 
     @pytest.mark.parametrize("stage", [eng._NOISE_BLOCK, 10 ** 9],
                              ids=["one_path", "wider_than_chunk"])
@@ -200,7 +226,8 @@ class TestDeterminism:
             simulate_batch(params(), FLAT, cfg, [])
 
     def test_displaced_equals_shifted_lognormal(self):
-        # displaced run == shifted-curve run minus the shift, bit for bit
+        # the displaced model is the undisplaced one on the shifted curve,
+        # with r shifted back: equal to the rounding of the shift
         a = 0.03
         disp = params(displacement=a, beta=0.04)
         shifted = params(lambda0=0.1 + a, beta=0.04)
@@ -208,8 +235,10 @@ class TestDeterminism:
         cfg = SimConfig(dt=0.01, horizon=3.0, n_paths=4, seed=77)
         b1 = simulate_batch(disp, FLAT, cfg, record=True)
         b2 = simulate_batch(shifted, curve_shifted, cfg, record=True)
-        np.testing.assert_array_equal(b1.rec_r, b2.rec_r - a)
-        np.testing.assert_array_equal(b1.rec_y, b2.rec_y)
+        np.testing.assert_array_equal(b1.exploded, b2.exploded)
+        np.testing.assert_array_equal(b1.tau_hat, b2.tau_hat)
+        np.testing.assert_allclose(b1.rec_r, b2.rec_r - a, rtol=1e-13)
+        np.testing.assert_allclose(b1.rec_y, b2.rec_y, rtol=1e-13)
 
 
 def _digest(batch):
@@ -240,7 +269,7 @@ class TestGolden:
          ForwardCurve.tabulated([[0.0, 0.1], [5.0, 0.12], [20.0, 0.09]]),
          SimConfig(dt=0.01, horizon=12.0, n_paths=25, seed=82,
                    record_stride=6),
-         "66e79817f2e6acaa2f133e8fe3fdc19fee442eb4de764d6894d9240b14b8bbed"),
+         "201f281140652bd84ce18c12c57e918ef40cf5baf0f7a8dd3a3a3bd0366dd111"),
         (params(sigma=0.3, gamma=0.5), FLAT,
          SimConfig(dt=0.01, horizon=11.0, n_paths=25, seed=83,
                    record_stride=5, explosion_threshold=1e8),
@@ -417,6 +446,11 @@ class TestClopperPearson:
         assert eng.clopper_pearson_upper95(0, 10000) == pytest.approx(
             3.0e-4, rel=2e-3)
         assert eng.clopper_pearson_upper95(7, 7) == 1.0
+
+    @pytest.mark.parametrize("hits, n", [(5, 3), (2, 0), (-1, 10)])
+    def test_counts_outside_domain_rejected(self, hits, n):
+        with pytest.raises(DomainError, match=f"hits={hits} n={n}"):
+            eng.clopper_pearson_upper95(hits, n)
 
 
 class TestExpectation:
