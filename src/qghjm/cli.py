@@ -8,7 +8,8 @@ numbers only, every section an object with no unknown and no missing key
 (model, sim: the ModelParams, SimConfig fields; a command's own section:
 _SECTIONS). Outputs are plot-ready CSV files plus JSON summaries that
 embed the resolved configuration. Exit codes: 0 success, 2 configuration
-error (any ConfigError), 3 no certificate or verification failure.
+error (any ConfigError, or a run too large to allocate), 3 no certificate
+or verification failure.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a run too large for this machine
+        print(f"config error: not enough memory: {e}", file=sys.stderr)
         return 2
     except QGHJMError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -44,7 +44,7 @@ and then it contains the divider R^(d2 (d1+2)).
 
 The wedge discards positive terms of the generator, so it is an inner
 bound of the exact band below and is only reported. The constants come
-from the slack LV - C V = C2 f + C3 g - C (C1 - C2 - C3) on rows (f, g),
+from the slack LV - C V = C2 f + C3 g on rows (f, g),
 one per exterior-grid point plus far-field rows (limits along
 y = k r^(1+d2), r -> inf): the feasible ratios C2/C3 form one band,
 [max -g/f over f > 0, min g/(-f) over f < 0], whose geometric middle
@@ -55,7 +55,7 @@ rows, on one fixed grid; neither is a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -146,9 +146,8 @@ class DeltaPair:
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Constants (C1, C2, C3, deltas, R, C) of a certificate candidate."""
+    """Constants (C2, C3, deltas, R, C) of a certificate; C1 = C2 + C3."""
 
-    c1: float
     c2: float
     c3: float
     deltas: DeltaPair
@@ -156,12 +155,14 @@ class LyapunovSpec:
     C: float
 
     def __post_init__(self) -> None:
-        vals = (self.c1, self.c2, self.c3, self.R, self.C)
+        vals = (self.c2, self.c3, self.R, self.C)
         if not all(0.0 < v < math.inf for v in vals):
-            raise ConfigError("C1, C2, C3, R and C must be positive and "
+            raise ConfigError("C2, C3, R and C must be positive and "
                               f"finite, got {vals}")
-        if self.c1 < (self.c2 + self.c3) * (1.0 - 1e-12):
-            raise ConfigError("C1 must be at least C2 + C3")
+
+    @property
+    def c1(self) -> float:
+        return self.c2 + self.c3
 
     def to_json(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "c3": self.c3,
@@ -466,8 +467,8 @@ def _c_growth(p: ModelParams, d: DeltaPair) -> float:
             + 0.5 * p.sigma ** 2 * d.delta2 * (d.delta2 + 1.0))
 
 
-def _v_field(c1: float, c2: float, c3: float, d: DeltaPair) -> SmoothField:
-    d1, d2 = d.delta1, d.delta2
+def _v_field(c2: float, c3: float, d: DeltaPair) -> SmoothField:
+    c1, d1, d2 = c2 + c3, d.delta1, d.delta2
     return SmoothField(
         value=lambda r, y: c1 - c2 * (1.0 + y) ** (-d1) - c3 * (1.0 + r) ** (-d2),
         d_r=lambda r, y: d2 * c3 * (1.0 + r) ** (-d2 - 1.0),
@@ -478,7 +479,7 @@ def _v_field(c1: float, c2: float, c3: float, d: DeltaPair) -> SmoothField:
 
 def lyapunov_field(spec: LyapunovSpec) -> SmoothField:
     """V(r,y) = C1 - C2 (1+y)^(-d1) - C3 (1+r)^(-d2) with analytic partials."""
-    return _v_field(spec.c1, spec.c2, spec.c3, spec.deltas)
+    return _v_field(spec.c2, spec.c3, spec.deltas)
 
 
 def a5_field() -> SmoothField:
@@ -502,7 +503,7 @@ def _log_grid(R: float, keep) -> tuple[np.ndarray, np.ndarray]:
 
 def _slack_rows(d: DeltaPair, R: float, C: float,
                 p: ModelParams) -> tuple[np.ndarray, ...]:
-    """Points (r, y) and rows (f, g), LV - C V = C2 f + C3 g - C (C1 - C2 - C3).
+    """Points (r, y) and rows (f, g), LV - C V = C2 f + C3 g.
 
     The exterior log grid and _FACE_POINTS points on and just outside
     each face, where f and g are the slacks of 1 - (1+y)^(-d1) and
@@ -517,7 +518,7 @@ def _slack_rows(d: DeltaPair, R: float, C: float,
     r = np.concatenate([r, face, s, off, s])
     y = np.concatenate([y, s, face, s, off])
     f, g = (generator_apply(u, r, y, p) - C * u.value(r, y)
-            for u in (_v_field(1.0, 1.0, 0.0, d), _v_field(1.0, 0.0, 1.0, d)))
+            for u in (_v_field(1.0, 0.0, d), _v_field(0.0, 1.0, d)))
     k = C / d.delta2 * _FAR_K
     s2 = p.sigma ** 2 if p.vol_cap is None else 0.0
     far = np.full(len(k), np.inf)
@@ -547,7 +548,7 @@ def verify_generator_inequality(spec: LyapunovSpec,
     if spec.C < _c_growth(p, spec.deltas) - 1e-12:
         raise DomainError("spec.C is below the admissible growth constant")
     r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p)
-    slack = spec.c2 * f + spec.c3 * g - spec.C * (spec.c1 - spec.c2 - spec.c3)
+    slack = spec.c2 * f + spec.c3 * g
     i = int(np.argmin(slack))
     return VerificationReport(min_slack=float(slack[i]), n_points=len(slack),
                               violations=int(np.count_nonzero(slack < -1e-12)),
@@ -578,23 +579,20 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
             lo, hi = _ratio_band(*_slack_rows(d, R, C, p)[2:])
             if 0.0 < lo < hi < math.inf:
                 c2 = math.sqrt(lo * hi)
-                return LyapunovSpec(c1=c2 + 1.0, c2=c2, c3=1.0, deltas=d,
-                                    R=R, C=C)
+                return LyapunovSpec(c2=c2, c3=1.0, deltas=d, R=R, C=C)
     raise InfeasibleWedge(
         "no feasible Lyapunov constants found for these parameters")
 
 
 def scale_c3(spec: LyapunovSpec, factor: float) -> LyapunovSpec:
-    """Rescale C3 by the given factor, keeping C1 = C2 + C3.
+    """Rescale C3 by the given factor; C1 = C2 + C3 follows.
 
     Used as a negative control: a large factor pushes the C2/C3 ratio out
     of the feasible band so the generator inequality must fail somewhere.
     """
     if not factor > 0.0:
         raise ConfigError("factor must be positive")
-    c3 = spec.c3 * factor
-    return LyapunovSpec(c1=spec.c2 + c3, c2=spec.c2, c3=c3,
-                        deltas=spec.deltas, R=spec.R, C=spec.C)
+    return replace(spec, c3=spec.c3 * factor)
 
 
 # ---------------------------------------------------------------------------

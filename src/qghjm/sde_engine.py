@@ -14,7 +14,7 @@ Kernel
 ------
 simulate_batch runs contiguous chunks of at most about _CHUNK paths (at
 least one per thread) on their live paths only; cols holds their positions
-in the chunk. Each worker thread reuses one noise block, one path-major
+in the batch. Each worker thread reuses one noise block, one path-major
 stage of _STAGE doubles and one uint64 state table for all its chunks. The
 noise block, at most 1024 steps by the widest chunk, is a private anonymous
 mapping of its own that goes back to the OS when the call returns. A
@@ -26,10 +26,13 @@ steps, then the counter, buffer and buffer_pos that the table carried over.
 A block is step-major, one column per path live at its start, so a step
 reads a whole row until a path dies in that block. The step evaluates
 model_core.coefficients into preallocated buffers (out=, same per-element
-order and bits). A path stops at the first step whose update gives r or y
-at or above the explosion threshold, or a non-finite value: tau_hat is the
-left edge of that step (bias at most dt), the path keeps its last good
-state, and the live arrays are compacted on that step only.
+order and bits) at lambda and lambda' of the block's steps only: the curve
+is read per block, so no array grows with the step count. A path stops at
+the first step whose update gives r or y at or above the explosion
+threshold, or a non-finite value: tau_hat is the left edge of that step
+(bias at most dt), and the live arrays are compacted on that step only.
+Every path leaves through one exit that writes its terminal r, y and
+log-discount: at its death step with its last good state, or at the end.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -181,7 +184,6 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     if np.any(idx < 0):
         raise ConfigError("path indices must be >= 0")
     n = len(idx)
-    lam, dlam = curve.rate_and_slope(cfg.dt * np.arange(n_steps))
     dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
     thr, stride = cfg.explosion_threshold, cfg.record_stride
 
@@ -195,22 +197,25 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
     def run(lo: int, hi: int, noise_buf, stage, table) -> None:
         """Simulate batch positions lo..hi-1 on one worker's buffers."""
-        w = hi - lo
-        cols, ids = np.arange(w), idx[lo:hi].tolist()
+        cols, ids = np.arange(lo, hi), idx[lo:hi].tolist()
         st = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0,
               "buffer": [0] * 4, "buffer_pos": 4,
               "state": {"counter": [0] * 4, "key": [cfg.seed, 0]}}
         key, bg = st["state"]["key"], np.random.Philox()
         draw = np.random.Generator(bg).standard_normal
-        tau_c, tr_c, ty_c, ld_c = (None if a is None else a[lo:hi]
-                                   for a in (tau, term_r, term_y, ldisc))
-        rr_c, ry_c = (None if a is None else a[:, lo:hi] for a in (rec_r, rec_y))
-        r, y = np.full(w, curve.lambda0), np.zeros(w)
-        rn, yn, mu_r, mu_y, sr = np.empty((5, w))
-        disc = None if ldisc is None else np.zeros(w)
+        r, y = np.full(hi - lo, curve.lambda0), np.zeros(hi - lo)
+        rn, yn, mu_r, mu_y, sr = np.empty((5, hi - lo))
+        disc = None if ldisc is None else np.zeros(hi - lo)
+
+        def leave(sel) -> None:  # the one exit: live paths sel end here
+            at = cols[sel]
+            term_r[at], term_y[at] = r[sel], y[sel]
+            if disc is not None:
+                ldisc[at] = disc[sel]
 
         for k0 in range(0, n_steps, _NOISE_BLOCK):
             nb = min(_NOISE_BLOCK, n_steps - k0)
+            lam, dlam = curve.rate_and_slope(dt * np.arange(k0, k0 + nb))
             # live path j draws into column j of a block as wide as the live
             # set, through the path-major stage (a strided column write per
             # path costs more than the copy)
@@ -219,15 +224,15 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             for j0 in range(0, len(live), len(rows)):
                 grp = live[j0:j0 + len(rows)]
                 for c, row in zip(grp, rows):
-                    key[1] = ids[c]
+                    key[1] = ids[c - lo]
                     if k0:
-                        s = table[c].tolist()
+                        s = table[c - lo].tolist()
                         st["state"]["counter"], st["buffer"] = s[:4], s[4:8]
                         st["buffer_pos"] = s[8]
                     bg.state = st
                     draw(out=row)
                     if k0 + nb < n_steps:
-                        s, t = bg.state, table[c]
+                        s, t = bg.state, table[c - lo]
                         t[:4], t[4:8] = s["state"]["counter"], s["buffer"]
                         t[8] = s["buffer_pos"]
                 noise[:, j0:j0 + len(grp)] = stage[:len(grp), :nb].T
@@ -235,12 +240,12 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             for k in range(k0, k0 + nb):
                 if not cols.size:
                     break
-                if rr_c is not None and k % stride == 0:
-                    rr_c[k // stride, cols] = r
-                    ry_c[k // stride, cols] = y
+                if rec_r is not None and k % stride == 0:
+                    rec_r[k // stride, cols], rec_y[k // stride, cols] = r, y
                 if disc is not None:  # mu_r as scratch
                     disc += np.multiply(r, dt, out=mu_r)
-                coefficients(r, y, lam[k], dlam[k], p, out=(mu_r, mu_y, sr))
+                coefficients(r, y, lam[k - k0], dlam[k - k0], p,
+                             out=(mu_r, mu_y, sr))
                 z = noise[k - k0] if ncol is None else noise[k - k0, ncol]
                 # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
                 np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
@@ -252,27 +257,18 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                     r, rn, y, yn = rn, r, yn, y
                     continue
                 ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
-                # the exploded paths keep their last good state
-                dead = ~ok
-                at = cols[dead]
-                tau_c[at] = k * dt
-                tr_c[at] = r[dead]
-                ty_c[at] = y[dead]
-                if disc is not None:
-                    ld_c[at] = disc[dead]
-                    disc = disc[ok]
+                dead = ~ok  # they leave with their last good state
+                tau[cols[dead]] = k * dt
+                leave(dead)
+                disc = None if disc is None else disc[ok]
                 ncol = (np.arange(len(cols)) if ncol is None else ncol)[ok]
                 cols, r, y = cols[ok], rn[ok], yn[ok]
                 rn, yn, mu_r, mu_y, sr = (
                     a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
 
-        if rr_c is not None and n_steps % stride == 0:
-            rr_c[n_steps // stride, cols] = r
-            ry_c[n_steps // stride, cols] = y
-        tr_c[cols] = r
-        ty_c[cols] = y
-        if disc is not None:
-            ld_c[cols] = disc
+        if rec_r is not None and n_steps % stride == 0:
+            rec_r[n_steps // stride, cols], rec_y[n_steps // stride, cols] = r, y
+        leave(slice(None))
 
     nchunks = max(min(threads, n), -(-n // _CHUNK), 1)
     bounds = np.linspace(0, n, nchunks + 1, dtype=int).tolist()

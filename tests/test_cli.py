@@ -510,6 +510,25 @@ def test_count_past_largest_array_exits_2(tmp_path, capsys, command, sim):
     assert not list(tmp_path.glob("o/*"))  # no partial output
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "sim", dict(SIM, n_paths=2 ** 59)),
+    ("price", "sim", dict(SIM, n_paths=2 ** 59)),
+    ("region", "region", dict(REGION, sigma={"start": 0.1, "stop": 1.0,
+                                             "num": 2 ** 59})),
+])
+def test_run_too_large_to_allocate_exits_2(tmp_path, capsys, command,
+                                           section, value):
+    # counts the config accepts, but 2**59 float64 entries are 4 EiB: no
+    # machine can allocate them, under any overcommit setting
+    obj = {"model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
+           "price": {"T": 0.5, "delta": 0.25, "discount_check": True}}
+    cfg = write_config(tmp_path / "c.json", dict(obj, **{section: value}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: not enough memory: ")
+    assert not list(tmp_path.glob("o/*"))  # no data file
+
+
 @pytest.mark.parametrize("command, extra", [
     ("simulate", {}),
     ("ode", {"ode": {"horizon": 10.0}}),

@@ -635,11 +635,11 @@ class TestBuildAndVerify:
     def test_verify_grid_guardrails(self):
         p = params()
         spec = q.build_lyapunov(p, q.check_condition(p, "II"))
-        small_r = q.LyapunovSpec(c1=spec.c1, c2=spec.c2, c3=spec.c3,
+        small_r = q.LyapunovSpec(c2=spec.c2, c3=spec.c3,
                                  deltas=spec.deltas, R=0.001, C=spec.C)
         with pytest.raises(q.DomainError):
             q.verify_generator_inequality(small_r, p)
-        low_c = q.LyapunovSpec(c1=spec.c1, c2=spec.c2, c3=spec.c3,
+        low_c = q.LyapunovSpec(c2=spec.c2, c3=spec.c3,
                                deltas=spec.deltas, R=spec.R, C=spec.C / 10)
         with pytest.raises(q.DomainError):
             q.verify_generator_inequality(low_c, p)
@@ -671,7 +671,7 @@ class TestRatioBand:
         assert spec.c2 == pytest.approx(math.sqrt(lo * hi), rel=1e-12)
         assert spec.c3 == 1.0
         for t in (0.99 * lo, 1.01 * hi):
-            edge = q.LyapunovSpec(c1=t + 1.0, c2=t, c3=1.0, deltas=d, R=R, C=C)
+            edge = q.LyapunovSpec(c2=t, c3=1.0, deltas=d, R=R, C=C)
             assert q.verify_generator_inequality(edge, p).violations > 0
         assert q.verify_generator_inequality(spec, p).violations == 0
 
@@ -717,18 +717,30 @@ class TestRatioBand:
 
 
 class TestLyapunovSpec:
-    @pytest.mark.parametrize("field", ["c1", "c2", "c3", "R", "C"])
+    @pytest.mark.parametrize("field", ["c2", "c3", "R", "C"])
     def test_infinite_constant_rejected(self, field):
-        kw = dict(c1=2.0, c2=1.0, c3=1.0, R=4.0, C=0.1,
-                  deltas=q.DeltaPair(0.5, 1.0))
+        kw = dict(c2=1.0, c3=1.0, R=4.0, C=0.1, deltas=q.DeltaPair(0.5, 1.0))
         with pytest.raises(q.ConfigError, match="positive and finite"):
             q.LyapunovSpec(**dict(kw, **{field: math.inf}))
+
+    def test_c1_is_derived(self):
+        # C1 = C2 + C3 by construction: not a field, still in to_json, and
+        # scale_c3 moves it with C3
+        spec = q.LyapunovSpec(c2=2.0, c3=1.0, R=4.0, C=0.1,
+                              deltas=q.DeltaPair(0.5, 1.0))
+        assert spec.c1 == 3.0 and spec.to_json()["c1"] == 3.0
+        scaled = q.scale_c3(spec, 4.0)
+        assert (scaled.c1, scaled.c2, scaled.c3) == (6.0, 2.0, 4.0)
+        assert scaled.deltas == spec.deltas and scaled.R == spec.R
+        with pytest.raises(TypeError):
+            q.LyapunovSpec(c1=3.0, c2=2.0, c3=1.0, R=4.0, C=0.1,
+                           deltas=q.DeltaPair(0.5, 1.0))
 
 
 class TestK0:
     def make_spec(self, c2, c3, R, d2=0.5):
         d = q.DeltaPair(d2, 1.0)
-        return q.LyapunovSpec(c1=c2 + c3, c2=c2, c3=c3, deltas=d, R=R, C=0.1)
+        return q.LyapunovSpec(c2=c2, c3=c3, deltas=d, R=R, C=0.1)
 
     def test_positive_when_budget_tight(self):
         spec = self.make_spec(2.0, 1.0, 3.0)
@@ -741,7 +753,7 @@ class TestK0:
 
     def test_symmetric_case(self):
         d = q.DeltaPair(delta2=SQ2M1, gamma=1.0)
-        spec = q.LyapunovSpec(c1=2.0, c2=1.0, c3=1.0, deltas=d, R=4.0, C=0.1)
+        spec = q.LyapunovSpec(c2=1.0, c3=1.0, deltas=d, R=4.0, C=0.1)
         want = spec.c1 - spec.c2 * (1.0 + (1.0 + 4.0) ** -SQ2M1)
         assert q.k0(spec) == pytest.approx(want, rel=1e-14)
 

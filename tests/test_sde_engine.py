@@ -206,6 +206,22 @@ class TestDeterminism:
                 batch.tau_hat[i], batch.terminal_r[i], batch.terminal_y[i],
                 batch.log_discount[i])
 
+    def test_curve_bends_inside_later_blocks(self):
+        # the slope changes inside the second and third 1024-step noise
+        # blocks, so each block must read lambda and lambda' at its own
+        # steps; every path equals the scalar Euler loop bit for bit
+        p = params(sigma=0.3, beta=0.05)
+        curve = ForwardCurve.tabulated([[0.0, 0.1], [15.0, 0.13],
+                                        [25.0, 0.09], [40.0, 0.11]])
+        cfg = SimConfig(dt=0.01, horizon=31.0, n_paths=12, seed=64)
+        batch = simulate_batch(p, curve, cfg, want_discount=True)
+        assert cfg.n_steps > 3 * eng._NOISE_BLOCK
+        assert not batch.exploded.all()
+        for i in range(cfg.n_paths):
+            assert scalar_euler(p, curve, cfg, i) == (
+                batch.tau_hat[i], batch.terminal_r[i], batch.terminal_y[i],
+                batch.log_discount[i])
+
     @pytest.mark.parametrize("stage", [eng._NOISE_BLOCK, 10 ** 9],
                              ids=["one_path", "wider_than_chunk"])
     def test_stage_budgets(self, monkeypatch, stage):
@@ -540,6 +556,24 @@ class TestMemory:
         mapped = sum(size for size, _ in mappings)
         assert mappings and mapped < 10e6
         assert peak < 10e6
+
+    def test_curve_read_per_block(self):
+        # the kernel asks the curve for one noise block of times at most,
+        # so its memory does not grow with the step count; together the
+        # blocks ask for each step's left edge once, in order
+        asked = []
+
+        class Recording(ForwardCurve):
+            def value(self, t):
+                asked.append(np.array(t, ndmin=1))
+                return super().value(t)
+
+        curve = Recording([[0.0, 0.1], [15.0, 0.13], [25.0, 0.09]])
+        cfg = SimConfig(dt=0.01, horizon=30.0, n_paths=3, seed=63)
+        simulate_batch(params(beta=0.05), curve, cfg)
+        assert max(len(t) for t in asked) <= eng._NOISE_BLOCK
+        np.testing.assert_array_equal(np.concatenate(asked),
+                                      cfg.dt * np.arange(cfg.n_steps))
 
     def test_wide_batch_noise_is_chunked(self, mappings):
         # the noise block spans one path chunk, not the whole batch
