@@ -1,15 +1,15 @@
 """Command-line front end.
 
     qghjm simulate|region|verify|ode|price --config FILE --out DIR
-          [--threads N] [--seed N (simulate, price)] [--c3-scale S (verify)]
+          [--threads N] [--seed N (if it reads sim)] [--c3-scale S (verify)]
 
 All inputs come from one JSON config, read strictly by _setup: finite
 numbers only, every section an object with no unknown and no missing key
 (model, sim: the ModelParams, SimConfig fields; a command's own section:
-_SECTIONS). Outputs are plot-ready CSV files plus JSON summaries that
-embed the resolved configuration. Exit codes: 0 success, 2 configuration
-error (any ConfigError, or a run too large to allocate), 3 no certificate
-or verification failure.
+its _COMMANDS row). Outputs are plot-ready CSV files plus JSON summaries
+that embed the resolved configuration. Exit codes: 0 success, 2
+configuration error (any ConfigError, or a run too large to allocate), 3
+no certificate or verification failure.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ from .errors import (ConfigError, GammaOutOfRange, InfeasibleWedge,
 from .model_core import ForwardCurve, ModelParams
 
 _PARSERS = {"model": ModelParams, "curve": ForwardCurve, "sim": eng.SimConfig}
-# each command's own section: (allowed keys, required keys); a section
-# with a required key must be present, one without may be left out
-_SECTIONS = {
-    "simulate": ({"checkpoints"}, ()),
-    "region": ({"gammas", "sigma"}, ("gammas", "sigma")),
-    "verify": ({"condition"}, ()),
-    "ode": ({"horizon"}, ("horizon",)),
-    "price": ({"T", "delta", "discount_check"}, ("T", "delta")),
-}
 
 
 def _finite(text: str) -> float:
@@ -61,13 +52,12 @@ def _reading(what: str):
         raise ConfigError(f"{what}: {e}") from None
 
 
-def _setup(args, *needs: str, optional: tuple = ()) -> list:
-    """Check --threads, load the config and create the output directory.
-
-    Returns the parsed sections of needs and optional, None if absent
-    (model, curve, sim; --seed applied to sim, a curve lambda(0) other than
-    the model's lambda0 rejected), then the own section, per _SECTIONS.
-    """
+def _setup(args) -> list:
+    """Check --threads, load the config and create the output directory;
+    return the sections args.command reads, in its _COMMANDS row's order
+    (model, curve, sim parsed, None if optional and absent; --seed applied
+    to sim, a curve lambda(0) other than the model's lambda0 rejected),
+    then its own section."""
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     try:
@@ -75,14 +65,14 @@ def _setup(args, *needs: str, optional: tuple = ()) -> list:
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read {args.config}: {e}") from None
-    cmd = args.command
-    allowed, required = _SECTIONS[cmd]
-    check_keys(raw, "top-level", {*_PARSERS, *_SECTIONS},
-               needs + ((cmd,) if required else ()))
+    name = args.command
+    reads, optional, keys, required, _ = _COMMANDS[name]
+    check_keys(raw, "top-level", {*_PARSERS, *_COMMANDS},
+               reads + ((name,) if required else ()))
     for key, sect in raw.items():  # every section given is an object
         check_keys(sect, key, allowed=sect)
     parsed = {}
-    for key in (*needs, *optional):
+    for key in (*reads, *optional):
         with _reading(key):
             parsed[key] = (_PARSERS[key].from_json(raw[key]) if key in raw
                            else None)
@@ -92,8 +82,11 @@ def _setup(args, *needs: str, optional: tuple = ()) -> list:
     if p is not None and curve is not None and curve.lambda0 != p.lambda0:
         raise ConfigError(f"curve: lambda(0) = {curve.lambda0} differs "
                           f"from the model's lambda0 = {p.lambda0}")
-    opts = check_keys(raw.get(cmd, {}), cmd, allowed, required)
-    os.makedirs(args.out, exist_ok=True)
+    opts = check_keys(raw.get(name, {}), name, keys, required)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:  # an existing file, or a path under one
+        raise ConfigError(f"cannot create {args.out}: {e}") from None
     return [*parsed.values(), opts]
 
 
@@ -113,8 +106,7 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def cmd_simulate(args) -> int:
-    p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
+def cmd_simulate(args, p, curve, cfg, opts) -> int:
     t_end = cfg.n_steps * cfg.dt  # the batch's t_end, before simulating
     checkpoints = opts.get("checkpoints")
     if checkpoints is None:
@@ -149,8 +141,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_region(args) -> int:
-    opts, = _setup(args)
+def cmd_region(args, opts) -> int:
     sig, span = opts["sigma"], ("start", "stop", "num")
     with _reading("region"):
         gammas = [as_float(g) for g in opts["gammas"]]
@@ -174,8 +165,7 @@ def cmd_region(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    p, curve, opts = _setup(args, "model", optional=("curve",))
+def cmd_verify(args, p, curve, opts) -> int:
     which = opts.get("condition", "II")
     out: dict = {"model": p.to_json(), "condition_requested": which,
                  "c3_scale": args.c3_scale}
@@ -232,8 +222,7 @@ def cmd_verify(args) -> int:
     return 0 if rep.violations == 0 else 3
 
 
-def cmd_ode(args) -> int:
-    p, curve, opts = _setup(args, "model", "curve")
+def cmd_ode(args, p, curve, opts) -> int:
     with _reading("ode"):
         horizon = as_float(opts["horizon"])
         res = ode_limit.ode_integrate(p, curve, horizon)
@@ -268,8 +257,7 @@ def _write_estimate(path: str, T: float, delta: float,
                      int(est.diverged))])
 
 
-def cmd_price(args) -> int:
-    p, curve, cfg, opts = _setup(args, "model", "curve", "sim")
+def cmd_price(args, p, curve, cfg, opts) -> int:
     with _reading("price"):
         T = as_float(opts["T"])
         delta = as_float(opts["delta"])
@@ -291,31 +279,41 @@ def cmd_price(args) -> int:
     return 0
 
 
+# subcommand: (sections it reads, sections it reads only when given, its own
+# section's keys, the required ones among them, fn(args, *sections, own))
+_COMMANDS = {
+    "simulate": (("model", "curve", "sim"), (), {"checkpoints"}, (),
+                 cmd_simulate),
+    "region": ((), (), {"gammas", "sigma"}, ("gammas", "sigma"), cmd_region),
+    "verify": (("model",), ("curve",), {"condition"}, (), cmd_verify),
+    "ode": (("model", "curve"), (), {"horizon"}, ("horizon",), cmd_ode),
+    "price": (("model", "curve", "sim"), (), {"T", "delta", "discount_check"},
+              ("T", "delta"), cmd_price),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qghjm",
         description="quasi-Gaussian HJM short-rate model tools")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", cmd_simulate), ("region", cmd_region),
-                     ("verify", cmd_verify), ("ode", cmd_ode),
-                     ("price", cmd_price)):
+    for name, (reads, *_) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--threads", type=int, default=1)
-        if name in ("simulate", "price"):  # the commands that read sim
+        if "sim" in reads:
             sp.add_argument("--seed", type=int, default=None)
         if name == "verify":
             sp.add_argument("--c3-scale", type=float, default=1.0,
                             dest="c3_scale")
-        sp.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][-1](args, *_setup(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -84,6 +84,7 @@ class SimConfig:
     where r (the model's own rate) or y reaches explosion_threshold, which
     must sit far above the normal dynamics, or turns non-finite.
     record_stride stores every k-th step when path recording is requested.
+    n_paths, seed and record_stride are integers (int or numpy), not bools.
     """
 
     dt: float
@@ -103,6 +104,10 @@ class SimConfig:
         if not self.horizon / self.dt < 2 ** 60:
             raise ConfigError(f"horizon/dt must be < 2**60, "
                               f"got horizon={self.horizon} dt={self.dt}")
+        for name in ("n_paths", "seed", "record_stride"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not 1 <= self.n_paths < 2 ** 60:
             raise ConfigError(f"n_paths must be in [1, 2**60), got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -178,11 +183,14 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     if path_indices is None:
         idx = np.arange(cfg.n_paths, dtype=np.int64)
     else:
-        idx = np.asarray(path_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ConfigError("path indices must not be empty")
-    if np.any(idx < 0):
-        raise ConfigError("path indices must be >= 0")
+        idx = np.asarray(path_indices)
+        if idx.size == 0:
+            raise ConfigError("path indices must not be empty")
+        if (idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0
+                or idx.max() >= 2 ** 63):
+            raise ConfigError("path indices must be one sequence of "
+                              "integers in [0, 2**63)")
+        idx = idx.astype(np.int64, copy=False)
     n = len(idx)
     dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
     thr, stride = cfg.explosion_threshold, cfg.record_stride

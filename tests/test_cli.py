@@ -588,6 +588,25 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):
     assert capsys.readouterr().err.startswith("config error: threads ")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command,
+                                                under_file):
+    # an existing file raised FileExistsError from os.makedirs, and a
+    # path under one NotADirectoryError, each as a traceback with exit 1
+    cfg = write_config(tmp_path / "c.json", {
+        "model": MODEL, "curve": CURVE, "sim": SIM, "region": REGION,
+        "ode": {"horizon": 1.0}, "price": {"T": 0.5, "delta": 0.25}})
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "sub" if under_file else taken
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create {out}: ")
+    assert err.count("\n") == 1
+    assert taken.read_text() == "kept"
+
+
 class TestImport:
     @pytest.mark.parametrize("module", ["model_core", "sde_engine",
                                         "ode_limit", "explosion_criteria",
@@ -706,9 +725,9 @@ class TestReadme:
                 keys = re.sub(r"\((?:[^()]|\([^()]*\))*\)", "", m[2])
                 rows[m[1]] = (set(re.findall(r"`(\w+)`", keys)),
                               set(re.findall(r"\*\*`(\w+)`\*\*", keys)))
-        assert set(rows) == {*cli._PARSERS, *cli._SECTIONS}
-        expect = {name: (set(allowed), set(required))
-                  for name, (allowed, required) in cli._SECTIONS.items()}
+        assert set(rows) == {*cli._PARSERS, *cli._COMMANDS}
+        expect = {name: (set(keys), set(required))
+                  for name, (_, _, keys, required, _) in cli._COMMANDS.items()}
         for name, cls in (("model", ModelParams), ("sim", SimConfig)):
             fields = dataclasses.fields(cls)
             expect[name] = ({f.name for f in fields},
@@ -716,6 +735,25 @@ class TestReadme:
                              if f.default is dataclasses.MISSING})
         for name in expect:
             assert rows[name] == expect[name], name
+
+    def test_config_table_read_by_matches_commands(self):
+        # the "read by" column: the commands that read a section, then
+        # "; X when given" for one that reads it only when it is present
+        rows = {}
+        for line in README.read_text().splitlines():
+            m = re.fullmatch(r"\| `(\w+)` \| .* \| ([\w ,;]+) \|", line)
+            if m:
+                always, *given = m[2].split("; ")
+                rows[m[1]] = (set(always.split(", ")),
+                              {g.removesuffix(" when given") for g in given})
+        expect = {name: (set(), set()) for name in cli._PARSERS}
+        for name, (reads, optional, *_) in cli._COMMANDS.items():
+            expect[name] = ({name}, set())
+            for section in reads:
+                expect[section][0].add(name)
+            for section in optional:
+                expect[section][1].add(name)
+        assert rows == expect
 
     def test_cli_synopsis_matches_parser(self):
         text = README.read_text()

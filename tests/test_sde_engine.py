@@ -83,6 +83,30 @@ class TestConfig:
         top = SimConfig(dt=1.0, horizon=2.0 ** 60 - 1024, n_paths=1, seed=1)
         assert top.n_steps == 2 ** 60 - 1024
 
+    @pytest.mark.parametrize("kw", [
+        {"n_paths": 2.5}, {"n_paths": 3.0}, {"n_paths": True},
+        {"seed": 1.5}, {"seed": "3"}, {"seed": math.nan}, {"seed": False},
+        {"record_stride": 1.5}, {"record_stride": None},
+    ])
+    def test_integer_fields_must_be_integers(self, kw):
+        # from_json converts 3.0 to 3; a library caller passes the value
+        # as is, and a float or a bool is not a path count, seed or stride
+        base = dict(dt=0.01, horizon=1.0, n_paths=10, seed=1)
+        base.update(kw)
+        with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be "
+                           "an integer"):
+            SimConfig(**base)
+
+    def test_numpy_integer_fields(self):
+        plain = SimConfig(dt=0.01, horizon=0.5, n_paths=3, seed=5,
+                          record_stride=2)
+        typed = SimConfig(dt=0.01, horizon=0.5, n_paths=np.int64(3),
+                          seed=np.uint64(5), record_stride=np.int32(2))
+        a = simulate_batch(params(), FLAT, plain, record=True)
+        b = simulate_batch(params(), FLAT, typed, record=True)
+        np.testing.assert_array_equal(a.rec_r, b.rec_r)
+        np.testing.assert_array_equal(a.path_index, b.path_index)
+
     def test_threshold_must_clear_dynamics(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=1,
                         explosion_threshold=0.5)
@@ -240,6 +264,27 @@ class TestDeterminism:
         cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, seed=1)
         with pytest.raises(ConfigError, match="empty"):
             simulate_batch(params(), FLAT, cfg, [])
+
+    @pytest.mark.parametrize("indices", [
+        [1.7], [1.0], [True], ["1"], [2 ** 63], [2 ** 64], [0, 2 ** 70],
+        [-1, 2 ** 63], [[0, 1]], 3,
+    ])
+    def test_non_integer_indices_rejected(self, indices):
+        # 1.7 ran path 1, 2**63 raised OverflowError, and a nested list or
+        # a bare integer a TypeError from inside the kernel
+        cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, seed=1)
+        with pytest.raises(ConfigError, match=r"integers in \[0, 2\*\*63\)"):
+            simulate_batch(params(), FLAT, cfg, indices)
+
+    def test_numpy_integer_indices(self):
+        cfg = SimConfig(dt=0.01, horizon=0.5, n_paths=1, seed=1)
+        ref = simulate_batch(params(), FLAT, cfg, [2, 2 ** 63 - 1, 0],
+                             record=True)
+        for idx in (np.array([2, 2 ** 63 - 1, 0], dtype=np.uint64),
+                    np.array([2, 2 ** 63 - 1, 0], dtype=np.int64)):
+            got = simulate_batch(params(), FLAT, cfg, idx, record=True)
+            np.testing.assert_array_equal(got.path_index, ref.path_index)
+            np.testing.assert_array_equal(got.rec_r, ref.rec_r)
 
     def test_displaced_equals_shifted_lognormal(self):
         # the displaced model is the undisplaced one on the shifted curve,
