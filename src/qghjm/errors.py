@@ -2,6 +2,7 @@
 of JSON config objects."""
 
 import dataclasses
+import numbers
 
 
 class QGHJMError(Exception):
@@ -31,8 +32,9 @@ class InfeasibleWedge(QGHJMError):
 
 
 def as_float(value) -> float:
-    """A number config value: 2 and 2.5 pass, True and "2.5" do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A number config value: 2, 2.5 and numpy numbers pass, True and "2.5"
+    do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -77,3 +79,15 @@ def from_json(cls, obj, what: str):
         except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{k}: {e}") from None
     return cls(**kw)
+
+
+def store_numbers(obj) -> None:
+    """Store each field of the frozen dataclass obj as the Python number
+    its annotation names, so a numpy scalar that passed obj's checks
+    serializes and round-trips like the value from_json gives."""
+    for f in dataclasses.fields(obj):
+        try:
+            value = _CONVERT[f.type](getattr(obj, f.name))
+        except ConfigError as e:
+            raise ConfigError(f"{f.name}: {e}") from None
+        object.__setattr__(obj, f.name, value)

@@ -44,12 +44,11 @@ and then it contains the divider R^(d2 (d1+2)).
 
 The wedge discards positive terms of the generator, so it is an inner
 bound of the exact band below and is only reported. The constants come
-from the slack LV - C V = C2 f + C3 g on rows (f, g),
-one per exterior-grid point plus far-field rows (limits along
-y = k r^(1+d2), r -> inf): the feasible ratios C2/C3 form one band,
-[max -g/f over f > 0, min g/(-f) over f < 0], whose geometric middle
-gives the constants. The band and the check of a spec read the same
-rows, on one fixed grid; neither is a proof.
+from the slack LV - C V = C2 f + C3 g on rows (f, g), one per point of
+a fixed exterior grid, and from its exact far-field infimum along
+y = k r^(1+d2), r -> inf (min_F_hat): the feasible ratios C2/C3 form one
+band, whose geometric middle gives the constants. The band and the check
+of a spec read the same rows and far field; only the grid is sampled.
 """
 
 from __future__ import annotations
@@ -106,7 +105,6 @@ _FLOOR = 1e-6
 _FACE_OFFSET = 1e-6
 _FACE_POINTS = 100
 _N_VERIFY = 200
-_FAR_K = np.geomspace(1e-8, 1e8, 801)  # far-field k, in units of C/delta2
 
 
 def _require_gamma(gamma: float) -> None:
@@ -227,7 +225,7 @@ class WedgeSlopes:
 @dataclass(frozen=True)
 class VerificationReport:
     """Slack statistics for the generator inequality LV - C V >= 0 over
-    the slack rows; a far-field row's point is (inf, inf)."""
+    the grid's slack rows and one exact far-field row at (inf, inf)."""
 
     min_slack: float
     violations: int
@@ -316,9 +314,9 @@ def kappa_delta(delta1: float) -> float:
 
 def min_F_hat(a: float, b: float, delta1: float) -> float:
     """Closed-form infimum of x -> a x^(delta1+1) + b/x over x > 0:
-    kappa_delta * a^(1/(d1+2)) * b^((d1+1)/(d1+2))."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError("a and b must be positive")
+    kappa_delta * a^(1/(d1+2)) * b^((d1+1)/(d1+2)), 0 if a or b is 0."""
+    if not (a >= 0.0 and b >= 0.0):
+        raise DomainError("a and b must be non-negative")
     e1 = 1.0 / (delta1 + 2.0)
     return kappa_delta(delta1) * a ** e1 * b ** (1.0 - e1)
 
@@ -503,14 +501,10 @@ def _log_grid(R: float, keep) -> tuple[np.ndarray, np.ndarray]:
 
 def _slack_rows(d: DeltaPair, R: float, C: float,
                 p: ModelParams) -> tuple[np.ndarray, ...]:
-    """Points (r, y) and rows (f, g), LV - C V = C2 f + C3 g.
-
-    The exterior log grid and _FACE_POINTS points on and just outside
-    each face, where f and g are the slacks of 1 - (1+y)^(-d1) and
-    1 - (1+r)^(-d2); then far-field rows at (inf, inf), where
-    sigma_r^2 ~ sigma^2 r^(2 gamma) (bounded under vol_cap) gives
-    f -> sigma^2 d1 k^(-1-d1) - C and g -> d2 k - C.
-    """
+    """Points (r, y) and rows (f, g), LV - C V = C2 f + C3 g, on the
+    exterior log grid and _FACE_POINTS points on and just outside each
+    face, where f and g are the slacks of 1 - (1+y)^(-d1) and
+    1 - (1+r)^(-d2). Past the grid, _far_slack holds the limit."""
     r, y = _log_grid(R, lambda v: v >= R)
     s = np.linspace(R * _FLOOR, R, _FACE_POINTS)
     face = np.full(_FACE_POINTS, R)
@@ -519,36 +513,51 @@ def _slack_rows(d: DeltaPair, R: float, C: float,
     y = np.concatenate([y, s, face, s, off])
     f, g = (generator_apply(u, r, y, p) - C * u.value(r, y)
             for u in (_v_field(1.0, 0.0, d), _v_field(0.0, 1.0, d)))
-    k = C / d.delta2 * _FAR_K
-    s2 = p.sigma ** 2 if p.vol_cap is None else 0.0
-    far = np.full(len(k), np.inf)
-    return (np.concatenate([r, far]), np.concatenate([y, far]),
-            np.concatenate([f, s2 * d.delta1 * k ** (-1.0 - d.delta1) - C]),
-            np.concatenate([g, d.delta2 * k - C]))
+    return r, y, f, g
 
 
-def _ratio_band(f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """The ratios t = C2/C3 with t f + g >= 0 on every row: [max -g/f over
-    f > 0, min g/(-f) over f < 0], empty if a row with f = 0 has g < 0."""
+def _far_slack(c2, c3, d: DeltaPair, C: float, p: ModelParams) -> float:
+    """Infimum over k of the limit of C2 f + C3 g along y = k r^(1+d2),
+    r -> inf: f -> sigma^2 d1 k^(-1-d1) - C and g -> d2 k - C there."""
+    return min_F_hat(c2 * _sigma2(p) * d.delta1, c3 * d.delta2,
+                     d.delta1) - C * (c2 + c3)
+
+
+def _ratio_band(d: DeltaPair, R: float, C: float,
+                p: ModelParams) -> tuple[float, float]:
+    """The ratios t = C2/C3 with t f + g >= 0 on every row, [max -g/f over
+    f > 0, min g/(-f) over f < 0] within [0, the largest double], cut to
+    {t : _far_slack(t, 1) >= 0}: one interval, as t^e/(1+t),
+    e = 1/(d1+2), peaks at t = 1/(1+d1), so each end is the row end or a
+    bisection toward the band's point nearest it; (inf, -inf) if empty."""
+    f, g = _slack_rows(d, R, C, p)[2:]
     pos, neg = f > 0.0, f < 0.0
-    if np.any(g[~pos & ~neg] < 0.0):
+    lo = float(np.max(-g[pos] / f[pos], initial=0.0))
+    hi = float(np.min(g[neg] / -f[neg], initial=np.finfo(float).max))
+    ok = lambda t: _far_slack(t, 1.0, d, C, p) >= 0.0
+    peak = min(max(1.0 / (1.0 + d.delta1), lo), hi)
+    if np.any(g[~pos & ~neg] < 0.0) or not (lo < hi and ok(peak)):
         return math.inf, -math.inf
-    return (float(np.max(-g[pos] / f[pos], initial=-np.inf)),
-            float(np.min(g[neg] / -f[neg], initial=np.inf)))
+    return (lo if ok(lo) else bisect(lambda t: not ok(t), lo, peak)[1],
+            hi if ok(hi) else bisect(ok, peak, hi)[0])
 
 
 def verify_generator_inequality(spec: LyapunovSpec,
                                 p: ModelParams) -> VerificationReport:
-    """Evaluate LV - C*V on the slack rows that build_lyapunov's band
-    reads, and count violations: rows whose slack drops below -1e-12."""
+    """Evaluate LV - C*V on the slack rows and the far field that
+    build_lyapunov's band reads, and count violations: rows whose slack
+    drops below -1e-12. Raises GammaOutOfRange as check_condition."""
+    _require_explosive(p)
     if spec.R < p.epsilon:
         raise DomainError(f"spec.R must be >= epsilon ({p.epsilon})")
-    if spec.deltas.gamma != p.gamma:  # far-field rows assume p.gamma
+    if spec.deltas.gamma != p.gamma:  # the far field assumes p.gamma
         raise DomainError(f"spec.deltas.gamma must equal gamma ({p.gamma})")
     if spec.C < _c_growth(p, spec.deltas) - 1e-12:
         raise DomainError("spec.C is below the admissible growth constant")
     r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p)
-    slack = spec.c2 * f + spec.c3 * g
+    r, y = np.append(r, math.inf), np.append(y, math.inf)
+    slack = np.append(spec.c2 * f + spec.c3 * g, _far_slack(
+        spec.c2, spec.c3, spec.deltas, spec.C, p))
     i = int(np.argmin(slack))
     return VerificationReport(min_slack=float(slack[i]), n_points=len(slack),
                               violations=int(np.count_nonzero(slack < -1e-12)),
@@ -576,7 +585,7 @@ def build_lyapunov(p: ModelParams, report: ConditionReport) -> LyapunovSpec:
     for d, R in candidates:
         if d.delta1 > 1e-6:
             C = _c_growth(p, d)
-            lo, hi = _ratio_band(*_slack_rows(d, R, C, p)[2:])
+            lo, hi = _ratio_band(d, R, C, p)
             if 0.0 < lo < hi < math.inf:
                 c2 = math.sqrt(lo * hi)
                 return LyapunovSpec(c2=c2, c3=1.0, deltas=d, R=R, C=C)

@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, as_float, check_keys, from_json
+from .errors import (ConfigError, as_float, check_keys, from_json,
+                     store_numbers)
 
 __all__ = [
     "ModelParams",
@@ -45,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Constant model parameters.
+    """Constant model parameters, stored as Python floats (numpy scalars
+    pass and are converted).
 
     Attributes
     ----------
@@ -93,6 +95,7 @@ class ModelParams:
                 f"displacement must be >= 0, got {self.displacement}")
         if self.vol_cap is not None and not self.vol_cap > 0.0:
             raise ConfigError(f"vol_cap must be > 0, got {self.vol_cap}")
+        store_numbers(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelParams":

@@ -54,7 +54,7 @@ import numpy as np
 
 from ._csv import CHUNK as _CSV_ROWS, append_rows, write_rows
 from ._search import bisect
-from .errors import ConfigError, DomainError, from_json
+from .errors import ConfigError, DomainError, from_json, store_numbers
 from .model_core import ForwardCurve, ModelParams, coefficients
 
 __all__ = [
@@ -84,7 +84,8 @@ class SimConfig:
     where r (the model's own rate) or y reaches explosion_threshold, which
     must sit far above the normal dynamics, or turns non-finite.
     record_stride stores every k-th step when path recording is requested.
-    n_paths, seed and record_stride are integers (int or numpy), not bools.
+    n_paths, seed and record_stride are integers (int or numpy), not bools;
+    every field is stored as a Python int or float.
     """
 
     dt: float
@@ -116,6 +117,7 @@ class SimConfig:
             raise ConfigError("explosion_threshold must be > 0")
         if not self.record_stride >= 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
+        store_numbers(self)
 
     @property
     def n_steps(self) -> int:

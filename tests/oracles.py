@@ -94,6 +94,18 @@ def lyapunov_slack(spec: dict, model: dict, r, y):
     return lv - C * (c1 - c2 * (1.0 + y) ** (-d1) - c3 * (1.0 + r) ** (-d2))
 
 
+def far_field_min(spec: dict, model: dict) -> float:
+    """The far-field minimum of LV - C V, written out from the limits
+    along y = k r^(1+d2), r -> inf: C2 (sigma^2 d1 k^(-1-d1) - C)
+    + C3 (d2 k - C), least over 2e6 k in (C/d2) geomspace(1e-10, 1e10).
+    It samples k densely instead of calling min_F_hat."""
+    c2, c3, C = spec["c2"], spec["c3"], spec["C"]
+    d1, d2 = spec["delta1"], spec["delta2"]
+    k = C / d2 * np.geomspace(1e-10, 1e10, 2_000_000)
+    f = model["sigma"] ** 2 * d1 * k ** (-1.0 - d1) - C
+    return float(np.min(c2 * f + c3 * (d2 * k - C)))
+
+
 def exterior_log_grid(R: float, n: int = 700, lo: float = 1e-8,
                       hi: float = 1e20):
     """The n x n log grid on [lo R, hi R]^2 outside the open square

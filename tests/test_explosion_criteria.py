@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 import qghjm as q
 from qghjm import explosion_criteria as xc
 from oracles import (brute_min_fhat, condition_f_rows, exterior_log_grid,
-                     holds_19p, lyapunov_slack, sample_nonempty_wedges,
-                     seeded_models)
+                     far_field_min, holds_19p, lyapunov_slack,
+                     sample_nonempty_wedges, seeded_models)
 
 SQ2M1 = math.sqrt(2.0) - 1.0
+# its far interval of C2/C3 closes at 6.96949 inside the grid's band;
+# the far field sampled at 801 log-spaced k closes it at 6.97418
+FAR_BOUND = dict(sigma=0.3, beta=0.016795396848377976)
 
 
 def params(**kw):
@@ -254,6 +257,11 @@ class TestCheckCondition:
         with pytest.raises(q.GammaOutOfRange):
             q.build_lyapunov(params(**kw), q.check_condition(params(), "II"))
 
+    def test_verify_refuses_capped_model(self):
+        spec = q.build_lyapunov(params(), q.check_condition(params(), "II"))
+        with pytest.raises(q.GammaOutOfRange, match="vol_cap"):
+            q.verify_generator_inequality(spec, params(vol_cap=5.0))
+
     def test_bad_condition_name(self):
         with pytest.raises(q.ConfigError):
             q.check_condition(params(), "III")
@@ -387,6 +395,14 @@ class TestLemmaMinF:
     def test_unit_case(self):
         # F(x) = x + 1/x has minimum 2 at x = 1
         assert q.min_F_hat(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-15)
+
+    def test_zero_coefficient(self):
+        # a x^(d1+1) alone, or b/x alone, has infimum 0 over x > 0
+        assert q.min_F_hat(0.0, 2.0, 0.5) == 0.0
+        assert q.min_F_hat(2.0, 0.0, 0.5) == 0.0
+        for a, b in ((-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+            with pytest.raises(q.DomainError):
+                q.min_F_hat(a, b, 0.5)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(7)
@@ -655,15 +671,29 @@ def far_slack_min(spec, p):
     return lyapunov_slack(spec.to_json(), p.to_json(), r, y).min()
 
 
+def seeded_specs():
+    """(model, spec) for the seeded models that condition II certifies,
+    as in test_seeded_draw_certificates_hold_far_out."""
+    out = []
+    for p in seeded_models(20261019, 40):
+        rep = q.check_condition(p, "II")
+        if rep.satisfied:
+            try:
+                out.append((p, q.build_lyapunov(p, rep)))
+            except q.InfeasibleWedge:
+                pass
+    return out
+
+
 class TestRatioBand:
-    """build_lyapunov's band of ratios C2/C3 over the slack rows, and the
-    far-field rows that close it past the grid's 10 R."""
+    """build_lyapunov's band of ratios C2/C3 over the slack rows, cut to
+    the exact far field that closes it past the grid's 10 R."""
 
     def test_readme_band_and_its_edges(self):
         p = params()
         d, R = q.DeltaPair(SQ2M1, 1.0), 1.0 / SQ2M1  # sqrt2+1
         C = xc._c_growth(p, d)
-        lo, hi = xc._ratio_band(*xc._slack_rows(d, R, C, p)[2:])
+        lo, hi = xc._ratio_band(d, R, C, p)
         assert lo == pytest.approx(0.343, abs=5e-4)
         assert hi == pytest.approx(6.51, abs=5e-3)
         spec = q.build_lyapunov(p, q.check_condition(p, "II"))
@@ -675,22 +705,57 @@ class TestRatioBand:
             assert q.verify_generator_inequality(edge, p).violations > 0
         assert q.verify_generator_inequality(spec, p).violations == 0
 
-    def test_far_field_rows_reach_the_closed_form(self):
-        # along y = k r^(1+d2), r -> inf, the slack tends to
-        # C2 sigma^2 d1 k^(-1-d1) + C3 d2 k - C C1, whose infimum over k
-        # is min_F_hat; the k grid's log step bounds the gap
-        p = params()
+    def test_far_row_is_the_dense_k_minimum(self):
+        for p, spec in seeded_specs():
+            far = xc._far_slack(spec.c2, spec.c3, spec.deltas, spec.C, p)
+            dense = far_field_min(spec.to_json(), p.to_json())
+            # the k grid's log step of 2.3e-5 leaves a gap of ~1e-10 hat
+            hat = far + spec.C * spec.c1
+            assert abs(dense - far) <= 1e-9 * hat, p
+
+    def test_band_closes_at_the_far_end(self):
+        p = params(**FAR_BOUND)
         spec = q.build_lyapunov(p, q.check_condition(p, "II"))
-        d = spec.deltas
-        r, _, f, g = q.explosion_criteria._slack_rows(d, spec.R, spec.C, p)
-        far = np.isinf(r)
-        slack = spec.c2 * f[far] + spec.c3 * g[far] \
-            - spec.C * (spec.c1 - spec.c2 - spec.c3)
-        hat = q.min_F_hat(spec.c2 * p.sigma ** 2 * d.delta1,
-                          spec.c3 * d.delta2, d.delta1)
-        step = math.log(1e16) / (far.sum() - 1)
-        gap = slack.min() - (hat - spec.C * spec.c1)
-        assert -1e-12 <= gap <= 0.5 * (1.0 + d.delta1) * (step / 2) ** 2 * hat
+        d, R, C = spec.deltas, spec.R, spec.C
+        lo, hi = xc._ratio_band(d, R, C, p)
+        assert spec.c2 == pytest.approx(math.sqrt(lo * hi), rel=1e-12)
+        f, g = xc._slack_rows(d, R, C, p)[2:]
+        assert hi < np.min(g[f < 0.0] / -f[f < 0.0])  # the grid's end
+        assert hi == pytest.approx(6.96949, abs=1e-5)
+        for t, bad in ((1.0001 * hi, True), (0.9999 * hi, False)):
+            edge = q.LyapunovSpec(c2=t, c3=1.0, deltas=d, R=R, C=C)
+            ver = q.verify_generator_inequality(edge, p)
+            assert (ver.violations > 0) == bad
+            assert ver.worst_point == (math.inf, math.inf)
+            assert (far_field_min(edge.to_json(), p.to_json()) < 0.0) == bad
+
+    def test_far_field_alone_bounds_the_band_below(self):
+        # at a tiny sigma every grid row with f > 0 has g > 0, so only the
+        # far field keeps C2/C3 above its lower end
+        p = params(sigma=1e-20, beta=0.0)
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        d, R, C = spec.deltas, spec.R, spec.C
+        f, g = xc._slack_rows(d, R, C, p)[2:]
+        assert np.all(g[f > 0.0] > 0.0)
+        lo, hi = xc._ratio_band(d, R, C, p)
+        assert 0.0 < lo < spec.c2 < hi
+        assert far_field_min(spec.to_json(), p.to_json()) > 0.0
+        # slacks are of order C ~ 1e-40 here, below the -1e-12 that counts
+        # a violation, so the sign of the minimum is what is checked
+        edge = q.LyapunovSpec(c2=0.999 * lo, c3=1.0, deltas=d, R=R, C=C)
+        ver = q.verify_generator_inequality(edge, p)
+        assert ver.min_slack < 0.0 and ver.worst_point == (math.inf, math.inf)
+        assert q.verify_generator_inequality(spec, p).min_slack > 0.0
+
+    def test_ratio_between_exact_and_sampled_end_fails(self):
+        # the far field sampled at 801 log-spaced k passes C2/C3 = 6.9718
+        p = params(**FAR_BOUND)
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        bad = q.LyapunovSpec(c2=6.9718, c3=1.0, deltas=spec.deltas,
+                             R=spec.R, C=spec.C)
+        ver = q.verify_generator_inequality(bad, p)
+        assert ver.violations >= 1
+        assert ver.worst_point == (math.inf, math.inf)
 
     def test_false_certificate_past_ten_r_is_gone(self):
         # a ratio chosen on a grid cut off at 10 R, C2/C3 ~ 538, has

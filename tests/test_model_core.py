@@ -37,6 +37,12 @@ class TestModelParams:
         p = params(gamma=0.8, vol_cap=2.0)
         assert ModelParams.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("field", ["sigma", "beta", "vol_cap"])
+    def test_bool_rejected(self, field):
+        # True passes the range checks as 1; the stored fields are numbers
+        with pytest.raises(ConfigError, match=f"{field}: expected a number"):
+            params(**{field: True})
+
     def test_json_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             ModelParams.from_json({"sigma": 0.2, "beta": 0, "gamma": 1,

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import mmap
 import os
@@ -106,6 +107,21 @@ class TestConfig:
         b = simulate_batch(params(), FLAT, typed, record=True)
         np.testing.assert_array_equal(a.rec_r, b.rec_r)
         np.testing.assert_array_equal(a.path_index, b.path_index)
+
+    def test_numpy_scalar_configs_round_trip_through_json(self):
+        # each field is stored as a Python number, so both configs write
+        # JSON and read it back to the same simulation
+        p = ModelParams(sigma=np.float32(0.2), beta=np.int64(0), gamma=1.0,
+                        epsilon=0.01, lambda0=0.1)
+        cfg = SimConfig(dt=np.float32(0.01), horizon=0.5,
+                        n_paths=np.int64(3), seed=5)
+        p2 = ModelParams.from_json(json.loads(json.dumps(p.to_json())))
+        cfg2 = SimConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        assert (p2, cfg2) == (p, cfg)
+        a = simulate_batch(p, FLAT, cfg, record=True)
+        b = simulate_batch(p2, FLAT, cfg2, record=True)
+        np.testing.assert_array_equal(a.rec_r, b.rec_r)
+        np.testing.assert_array_equal(a.rec_y, b.rec_y)
 
     def test_threshold_must_clear_dynamics(self):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=1, seed=1,
