@@ -23,16 +23,17 @@ threshold would come from the heap and stay resident after the call, so
 back-to-back calls would stack their blocks. A chunk's Philox is re-keyed
 per path from a template state: key[1] = i for a path's first block of 1024
 steps, then the counter, buffer and buffer_pos that the table carried over.
-A block is step-major, one column per path live at its start, so a step
-reads a whole row until a path dies in that block. The step evaluates
-model_core.coefficients into preallocated buffers (out=, same per-element
-order and bits) at lambda and lambda' of the block's steps only: the curve
-is read per block, so no array grows with the step count. A path stops at
-the first step whose update gives r or y at or above the explosion
-threshold, or a non-finite value: tau_hat is the left edge of that step
-(bias at most dt), and the live arrays are compacted on that step only.
-Every path leaves through one exit that writes its terminal r, y and
-log-discount: at its death step with its last good state, or at the end.
+A block is step-major, one column per path live at its start. The step
+evaluates model_core.coefficients into preallocated buffers (out=, same
+per-element order and bits) at lambda and lambda' of the block's steps
+only: the curve is read per block, so no array grows with the step count.
+A path stops at the first step whose update gives r or y at or above the
+explosion threshold, or a non-finite value: tau_hat is the left edge of
+that step (bias at most dt). It idles at (lambda0, 0), reset whenever it
+crosses again and masked out of records and exits, until the live arrays
+are compacted at the next block's start. Every path leaves through one
+exit that writes its terminal r, y and log-discount: at its death step
+with its last good state, or at the end.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -52,7 +53,7 @@ from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from ._csv import CHUNK as _CSV_ROWS, append_rows, write_rows
+from ._csv import CHUNK as _CSV_ROWS, fields, write_fields, write_rows
 from ._search import bisect
 from .errors import ConfigError, DomainError, from_json, store_numbers
 from .model_core import ForwardCurve, ModelParams, coefficients
@@ -215,24 +216,30 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         draw = np.random.Generator(bg).standard_normal
         r, y = np.full(hi - lo, curve.lambda0), np.zeros(hi - lo)
         rn, yn, mu_r, mu_y, sr = np.empty((5, hi - lo))
-        disc = None if ldisc is None else np.zeros(hi - lo)
+        disc = np.zeros(hi - lo)
 
         def leave(sel) -> None:  # the one exit: live paths sel end here
             at = cols[sel]
             term_r[at], term_y[at] = r[sel], y[sel]
-            if disc is not None:
+            if ldisc is not None:
                 ldisc[at] = disc[sel]
 
+        live = np.ones(hi - lo, dtype=bool)  # of the block's columns
         for k0 in range(0, n_steps, _NOISE_BLOCK):
+            if not live.all():  # the paths that died in the last block go
+                cols, r, y, disc = cols[live], r[live], y[live], disc[live]
+                rn, yn, mu_r, mu_y, sr = (
+                    a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
+                live = live[live]
             nb = min(_NOISE_BLOCK, n_steps - k0)
             lam, dlam = curve.rate_and_slope(dt * np.arange(k0, k0 + nb))
             # live path j draws into column j of a block as wide as the live
             # set, through the path-major stage (a strided column write per
             # path costs more than the copy)
-            live, rows = cols.tolist(), [s[:nb] for s in stage]
-            noise = noise_buf[:nb * len(live)].reshape(nb, len(live))
-            for j0 in range(0, len(live), len(rows)):
-                grp = live[j0:j0 + len(rows)]
+            pos, rows = cols.tolist(), [s[:nb] for s in stage]
+            noise = noise_buf[:nb * len(pos)].reshape(nb, len(pos))
+            for j0 in range(0, len(pos), len(rows)):
+                grp = pos[j0:j0 + len(rows)]
                 for c, row in zip(grp, rows):
                     key[1] = ids[c - lo]
                     if k0:
@@ -246,39 +253,37 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                         t[:4], t[4:8] = s["state"]["counter"], s["buffer"]
                         t[8] = s["buffer_pos"]
                 noise[:, j0:j0 + len(grp)] = stage[:len(grp), :nb].T
-            ncol = None  # noise columns of the live paths, None while in order
             for k in range(k0, k0 + nb):
-                if not cols.size:
-                    break
                 if rec_r is not None and k % stride == 0:
-                    rec_r[k // stride, cols], rec_y[k // stride, cols] = r, y
-                if disc is not None:  # mu_r as scratch
+                    rec_r[k // stride, cols[live]] = r[live]
+                    rec_y[k // stride, cols[live]] = y[live]
+                if ldisc is not None:  # mu_r as scratch
                     disc += np.multiply(r, dt, out=mu_r)
                 coefficients(r, y, lam[k - k0], dlam[k - k0], p,
                              out=(mu_r, mu_y, sr))
-                z = noise[k - k0] if ncol is None else noise[k - k0, ncol]
                 # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
                 np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
-                rn += np.multiply(np.multiply(sr, sqrt_dt, out=sr), z, out=sr)
+                rn += np.multiply(np.multiply(sr, sqrt_dt, out=sr),
+                                  noise[k - k0], out=sr)
                 np.maximum(np.add(y, np.multiply(mu_y, dt, out=mu_y), out=yn),
                            0.0, out=yn)
                 # rn, yn finite and below thr (yn is never -inf; nan fails)
-                if rn.max() < thr and yn.max() < thr and rn.min() > -np.inf:
-                    r, rn, y, yn = rn, r, yn, y
-                    continue
-                ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
-                dead = ~ok  # they leave with their last good state
-                tau[cols[dead]] = k * dt
-                leave(dead)
-                disc = None if disc is None else disc[ok]
-                ncol = (np.arange(len(cols)) if ncol is None else ncol)[ok]
-                cols, r, y = cols[ok], rn[ok], yn[ok]
-                rn, yn, mu_r, mu_y, sr = (
-                    a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
+                if not (rn.max() < thr and yn.max() < thr
+                        and rn.min() > -np.inf):
+                    ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
+                    died = live & ~ok  # they leave with their last good state
+                    tau[cols[died]] = k * dt
+                    leave(died)
+                    live &= ok
+                    rn[~ok], yn[~ok] = curve.lambda0, 0.0  # dead paths idle
+                    if not live.any():
+                        return
+                r, rn, y, yn = rn, r, yn, y
 
         if rec_r is not None and n_steps % stride == 0:
-            rec_r[n_steps // stride, cols], rec_y[n_steps // stride, cols] = r, y
-        leave(slice(None))
+            rec_r[n_steps // stride, cols[live]] = r[live]
+            rec_y[n_steps // stride, cols[live]] = y[live]
+        leave(live)
 
     nchunks = max(min(threads, n), -(-n // _CHUNK), 1)
     bounds = np.linspace(0, n, nchunks + 1, dtype=int).tolist()
@@ -412,14 +417,15 @@ def write_paths_csv(batch: BatchPaths, fh: TextIO) -> None:
     if batch.rec_r is None:
         raise ValueError("batch was simulated without recording")
     fh.write("path_index,t,r,y\n")
+    times = fields(batch.record_times)
     group = max(1, _CSV_ROWS // len(batch.record_times))
     for lo in range(0, len(batch.path_index), group):
         rec_r, rec_y = (a[:, lo:lo + group].T for a in (batch.rec_r, batch.rec_y))
         alive = ~np.isnan(rec_r)  # path-major, like the rows
-        append_rows(fh, np.column_stack([
-            np.broadcast_to(v, alive.shape)[alive] for v in
-            (batch.path_index[lo:lo + group, None], batch.record_times,
-             rec_r, rec_y)]))
+        col, k = np.nonzero(alive)
+        ids = fields(batch.path_index[lo:lo + group])
+        write_fields(fh, [np.take(ids, col, axis=0), np.take(times, k, axis=0),
+                          fields(rec_r[alive]), fields(rec_y[alive])])
 
 
 def write_explosions_csv(batch: BatchPaths, fh: TextIO) -> None:

@@ -278,6 +278,18 @@ class TestVerify:
         data = json.loads((out / "verify.json").read_text())
         assert data["verification"]["violations"] > 0
 
+    def test_exit_code_is_the_same_with_warnings_as_errors(self, tmp_path):
+        # sigma 1e-160 gives slack rows with a subnormal f
+        cfg = write_config(tmp_path / "v.json",
+                           {"model": dict(MODEL, sigma=1e-160, beta=0.0)})
+        src = os.path.dirname(os.path.dirname(qghjm.__file__))
+        codes = [subprocess.run(
+            [sys.executable, "-m", "qghjm.cli", "verify", "--config", cfg,
+             "--out", str(tmp_path / f"out{i}")], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=flag)
+        ).returncode for i, flag in enumerate(["", "error::RuntimeWarning"])]
+        assert codes == [0, 0]
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
     def test_unusable_c3_scale_exits_2(self, tmp_path, capsys, scale):
         # an infinite C3 would make every slack NaN, and NaN never counts

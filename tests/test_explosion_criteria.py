@@ -740,12 +740,25 @@ class TestRatioBand:
         lo, hi = xc._ratio_band(d, R, C, p)
         assert 0.0 < lo < spec.c2 < hi
         assert far_field_min(spec.to_json(), p.to_json()) > 0.0
-        # slacks are of order C ~ 1e-40 here, below the -1e-12 that counts
-        # a violation, so the sign of the minimum is what is checked
+        # slacks are of order C ~ 1e-40 here, and a violation is counted
+        # relative to C C1
         edge = q.LyapunovSpec(c2=0.999 * lo, c3=1.0, deltas=d, R=R, C=C)
         ver = q.verify_generator_inequality(edge, p)
-        assert ver.min_slack < 0.0 and ver.worst_point == (math.inf, math.inf)
+        assert ver.violations > 0 and ver.worst_point == (math.inf, math.inf)
         assert q.verify_generator_inequality(spec, p).min_slack > 0.0
+
+    def test_subnormal_rows_give_the_same_spec_without_a_warning(self):
+        # at sigma 1e-160 some rows have a subnormal f, and g / -f
+        # overflows to inf, which the band's ends read as it is
+        p = params(sigma=1e-160, beta=0.0)
+        report = q.check_condition(p, "II")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = q.build_lyapunov(p, report)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert q.build_lyapunov(p, report) == spec
+        assert q.verify_generator_inequality(spec, p).violations == 0
 
     def test_ratio_between_exact_and_sampled_end_fails(self):
         # the far field sampled at 801 log-spaced k passes C2/C3 = 6.9718

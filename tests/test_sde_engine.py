@@ -366,6 +366,98 @@ class TestGolden:
             "845c99453c5bdd0f7d31ac094c799d695ff93502695903e743905632d8912a34")
 
 
+class TestBlockCompaction:
+    """A path that dies idles at (lambda0, 0) until its noise block ends,
+    masked out of the records and the exits; the live set is compacted
+    at the next block's start."""
+
+    def check_paths(self, p, cfg, order, batch):
+        """Every path of batch equals its lone run and scalar_euler, and
+        its recorded rows are finite up to tau_hat and NaN after it."""
+        for pos, i in enumerate(order):
+            one = simulate_batch(p, FLAT, cfg, [i], record=True,
+                                 want_discount=True)
+            for f in ("rec_r", "rec_y"):
+                np.testing.assert_array_equal(getattr(one, f)[:, 0],
+                                              getattr(batch, f)[:, pos])
+            for f in ("exploded", "tau_hat", "terminal_r", "terminal_y",
+                      "log_discount"):
+                assert getattr(one, f)[0] == getattr(batch, f)[pos], f
+            assert scalar_euler(p, FLAT, cfg, i) == (
+                batch.tau_hat[pos], batch.terminal_r[pos],
+                batch.terminal_y[pos], batch.log_discount[pos])
+            lived = batch.record_times <= batch.tau_hat[pos]
+            for rec in (batch.rec_r[:, pos], batch.rec_y[:, pos]):
+                assert np.all(np.isfinite(rec[lived]))
+                assert np.all(np.isnan(rec[~lived]))
+
+    @staticmethod
+    def crosses_while_idle(p, cfg, i, tau):
+        """Whether path i, dead at tau, crosses the threshold again from
+        (lambda0, 0) on its own noise before its block ends."""
+        k_dead = int(round(tau / cfg.dt))
+        end = min(cfg.n_steps, (k_dead // eng._NOISE_BLOCK + 1)
+                  * eng._NOISE_BLOCK)
+        z = np.random.Generator(np.random.Philox(
+            key=[cfg.seed, i])).standard_normal(end)
+        r, y = FLAT.lambda0, 0.0
+        for k in range(k_dead + 1, end):
+            t = k * cfg.dt
+            mu_r, mu_y, sr = coefficients(r, y, FLAT.value(t), FLAT.slope(t),
+                                          p)
+            r, y = (r + mu_r * cfg.dt + sr * math.sqrt(cfg.dt) * z[k],
+                    max(y + mu_y * cfg.dt, 0.0))
+            if not (r < cfg.explosion_threshold
+                    and y < cfg.explosion_threshold):
+                return True
+        return False
+
+    def test_dead_paths_that_cross_again_stay_dead(self):
+        # sigma 3 with the threshold at 10 lambda0: idle dead paths cross
+        # the threshold again inside their block
+        p = params(sigma=3.0)
+        cfg = SimConfig(dt=0.01, horizon=25.0, n_paths=40, seed=71,
+                        explosion_threshold=1.0, record_stride=3)
+        order = np.random.default_rng(2).permutation(cfg.n_paths)
+        batch = simulate_batch(p, FLAT, cfg, order, record=True,
+                               want_discount=True)
+        again = [self.crosses_while_idle(p, cfg, i, t) for i, t in
+                 zip(order[batch.exploded], batch.tau_hat[batch.exploded])]
+        assert sum(again) >= 3 and not batch.exploded.all()
+        self.check_paths(p, cfg, order, batch)
+
+    def test_block_in_which_every_path_dies(self):
+        # subsets whose paths all die in the first block, and in the second
+        p = params(sigma=3.0)
+        cfg = SimConfig(dt=0.01, horizon=25.0, n_paths=60, seed=72,
+                        explosion_threshold=1.0, record_stride=5)
+        full = simulate_batch(p, FLAT, cfg)
+        block = np.where(full.exploded, np.floor(
+            full.tau_hat / (eng._NOISE_BLOCK * cfg.dt)), -1)
+        for b in (0, 1):
+            order = np.flatnonzero(block == b)[:6]
+            assert len(order) >= 2
+            batch = simulate_batch(p, FLAT, cfg, order, record=True,
+                                   want_discount=True)
+            assert batch.exploded.all()
+            self.check_paths(p, cfg, order, batch)
+
+    def test_deaths_on_first_and_last_step_of_a_block(self, monkeypatch):
+        monkeypatch.setattr(eng, "_NOISE_BLOCK", 16)
+        p = params(sigma=3.0)
+        cfg = SimConfig(dt=0.01, horizon=20.0, n_paths=120, seed=73,
+                        explosion_threshold=1.0, record_stride=4)
+        full = simulate_batch(p, FLAT, cfg)
+        step = np.round(full.tau_hat[full.exploded] / cfg.dt).astype(int)
+        first = np.flatnonzero(full.exploded)[step % 16 == 0][:3]
+        last = np.flatnonzero(full.exploded)[step % 16 == 15][:3]
+        assert len(first) and len(last)
+        order = np.concatenate([first, last, np.flatnonzero(~full.exploded)[:2]])
+        batch = simulate_batch(p, FLAT, cfg, order, record=True,
+                               want_discount=True)
+        self.check_paths(p, cfg, order, batch)
+
+
 class TestScheme:
     def test_record_stride(self):
         p = params()
