@@ -6,10 +6,11 @@
 All inputs come from one JSON config, read strictly by _setup: finite
 numbers only, every section an object with no unknown and no missing key
 (model, sim: the ModelParams, SimConfig fields; a command's own section:
-its _COMMANDS row). Outputs are plot-ready CSV files plus JSON summaries
-that embed the resolved configuration. Exit codes: 0 success, 2
-configuration error (any ConfigError, or a run too large to allocate), 3
-no certificate or verification failure.
+its _COMMANDS row); --threads must be >= 1 and runs nothing in parallel.
+Outputs are plot-ready CSV files plus JSON summaries that embed the
+resolved configuration. Exit codes: 0 success, 2 configuration error (any
+ConfigError, or a run too large to allocate), 3 no certificate or
+verification failure.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def cmd_simulate(args, p, curve, cfg, opts) -> int:
                 raise ConfigError(f"checkpoint T={T} is outside "
                                   f"[0, t_end={t_end}]")
 
-    batch = eng.simulate_batch(p, curve, cfg, record=True, threads=args.threads)
+    batch = eng.simulate_batch(p, curve, cfg, record=True)
     n = len(batch.path_index)
     est = [eng.explosion_probability(batch, T) for T in checkpoints]
     with open(os.path.join(args.out, "paths.csv"), "w") as fh:
@@ -266,7 +267,7 @@ def cmd_price(args, p, curve, cfg, opts) -> int:
         raise ConfigError(f"price: discount_check {check!r} is not a boolean")
     # one simulation up to T serves the futures and the discount check
     batch = eng.simulate_batch(p, curve, pricing.futures_config(cfg, T, delta),
-                               want_discount=check, threads=args.threads)
+                               want_discount=check)
     est = pricing.futures_estimate(batch, p, curve, T, delta)
     _write_estimate(os.path.join(args.out, "futures.csv"), T, delta, est)
     if check:

@@ -327,7 +327,7 @@ def kappas(R: float, p: ModelParams, d: DeltaPair) -> tuple[float, float]:
         raise DomainError("R must be positive")
     A = _a_const(p, d)
     q = (1.0 + R) / R
-    k1 = A / (d.delta1 * p.sigma ** 2) * q ** (d.delta1 + 1.0)
+    k1 = A / (d.delta1 * _sigma2(p)) * q ** (d.delta1 + 1.0)
     k2 = A / d.delta2 * q ** (d.delta2 + 1.0)
     return k1, k2
 
@@ -462,7 +462,7 @@ def wedge_feasible_slopes(R: float, p: ModelParams, d: DeltaPair) -> WedgeSlopes
 
 def _c_growth(p: ModelParams, d: DeltaPair) -> float:
     return (max(2.0 * d.delta1, d.delta2) * p.beta
-            + 0.5 * p.sigma ** 2 * d.delta2 * (d.delta2 + 1.0))
+            + 0.5 * _sigma2(p) * d.delta2 * (d.delta2 + 1.0))
 
 
 def _v_field(c2: float, c3: float, d: DeltaPair) -> SmoothField:
@@ -553,7 +553,7 @@ def verify_generator_inequality(spec: LyapunovSpec,
         raise DomainError(f"spec.R must be >= epsilon ({p.epsilon})")
     if spec.deltas.gamma != p.gamma:  # the far field assumes p.gamma
         raise DomainError(f"spec.deltas.gamma must equal gamma ({p.gamma})")
-    if spec.C < _c_growth(p, spec.deltas) - 1e-12:
+    if spec.C < _c_growth(p, spec.deltas) * (1.0 - 1e-12):
         raise DomainError("spec.C is below the admissible growth constant")
     r, y, f, g = _slack_rows(spec.deltas, spec.R, spec.C, p)
     r, y = np.append(r, math.inf), np.append(y, math.inf)
@@ -636,7 +636,7 @@ def as_explosion_r0_threshold(R: float, p: ModelParams) -> R0Threshold:
         raise DomainError("the almost-sure threshold requires beta > 0")
     if not R > 0.0:
         raise DomainError("R must be positive")
-    s2 = p.sigma ** 2
+    s2 = _sigma2(p)
     core = 4.0 * p.beta * R + p.beta + s2
     log1 = 1.0 - math.log(p.beta) + math.log(core)
     try:

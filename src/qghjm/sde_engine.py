@@ -6,16 +6,16 @@ Noise discipline
 Path i draws its standard normals from a counter-based Philox stream keyed
 by (seed, i), consumed in step order, so the draw used at step k is a pure
 function of (seed, i, k). Results for a given path are bit-identical
-whether it is simulated alone or inside a batch, in any launch order, with
-any thread count, and common-random-number comparisons across parameter
-values reuse the same noise.
+whether it is simulated alone or inside a batch, in any launch order, and
+common-random-number comparisons across parameter values reuse the same
+noise.
 
 Kernel
 ------
-simulate_batch runs contiguous chunks of at most about _CHUNK paths (at
-least one per thread) on their live paths only; cols holds their positions
-in the batch. Each worker thread reuses one noise block, one path-major
-stage of _STAGE doubles and one uint64 state table for all its chunks. The
+simulate_batch runs contiguous chunks of at most about _CHUNK paths in
+order on the calling thread, on their live paths only; cols holds their
+positions in the batch. One noise block, one path-major stage of _STAGE
+doubles and one uint64 state table serve every chunk of a call. The
 noise block, at most 1024 steps by the widest chunk, is a private anonymous
 mapping of its own that goes back to the OS when the call returns. A
 malloc'd block just under glibc's 32 MiB ceiling for its dynamic mmap
@@ -47,7 +47,6 @@ import contextlib
 import math
 import mmap
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -73,7 +72,7 @@ __all__ = [
 
 _NOISE_BLOCK = 1024
 _CHUNK = 16384
-_STAGE = 1 << 16  # doubles in a worker's path-major noise stage
+_STAGE = 1 << 16  # doubles in the path-major noise stage
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,9 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                    threads: int = 1) -> BatchPaths:
     """Simulate a batch of paths (default: indices 0 .. n_paths-1).
 
-    Paths are embarrassingly parallel: contiguous chunks of about _CHUNK
-    paths or fewer, at least one per thread, fill disjoint slices, so the
-    output is independent of scheduling.
+    Contiguous chunks of about _CHUNK paths or fewer run in order on the
+    calling thread and fill disjoint slices. threads must be >= 1 and is
+    otherwise unused: no output depends on it.
     """
     n_steps = cfg.n_steps
     if not cfg.explosion_threshold >= 10.0 * p.lambda0:
@@ -206,8 +205,8 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         rec_y = np.full((len(rec_t), n), np.nan)
     ldisc = np.zeros(n) if want_discount else None
 
-    def run(lo: int, hi: int, noise_buf, stage, table) -> None:
-        """Simulate batch positions lo..hi-1 on one worker's buffers."""
+    def run(lo: int, hi: int) -> None:
+        """Simulate batch positions lo..hi-1."""
         cols, ids = np.arange(lo, hi), idx[lo:hi].tolist()
         st = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0,
               "buffer": [0] * 4, "buffer_pos": 4,
@@ -285,35 +284,27 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             rec_y[n_steps // stride, cols[live]] = y[live]
         leave(live)
 
-    nchunks = max(min(threads, n), -(-n // _CHUNK), 1)
-    bounds = np.linspace(0, n, nchunks + 1, dtype=int).tolist()
-    nworkers, nb_max = min(threads, nchunks), min(_NOISE_BLOCK, n_steps)
+    bounds = np.linspace(0, n, -(-n // _CHUNK) + 1, dtype=int).tolist()
+    nb_max = min(_NOISE_BLOCK, n_steps)
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-
-    def work(t: int) -> None:
-        # the noise block: private anonymous memory with huge pages, as
-        # numpy asks for its own large arrays (4 KiB pages fault 512 times
-        # as often)
-        block = mmap.mmap(-1, 8 * nb_max * width, flags=mmap.MAP_PRIVATE)
-        with contextlib.suppress(AttributeError, OSError):  # Linux with THP
-            block.madvise(mmap.MADV_HUGEPAGE)
-        try:
-            bufs = (np.frombuffer(block),
-                    np.empty((max(1, min(width, _STAGE // nb_max)), nb_max)),
-                    np.empty((width, 9), dtype=np.uint64))
-            for lo, hi in zip(bounds[t:-1:nworkers], bounds[t + 1::nworkers]):
-                run(lo, hi, *bufs)
-        except BaseException as e:  # its traceback must not keep run's views
-            traceback.clear_frames(e.__traceback__)
-            raise
-        finally:
-            bufs = None  # a mapping cannot close while a view of it lives
-            block.close()
-
-    with ThreadPoolExecutor(max_workers=nworkers) as ex:
-        rest = ex.map(work, range(1, nworkers))  # submitted at once
-        work(0)  # here: a pool thread's own malloc arena adds to peak RSS
-        list(rest)  # re-raises
+    # the noise block: private anonymous memory with huge pages, as numpy
+    # asks for its own large arrays (4 KiB pages fault 512 times as often)
+    block = mmap.mmap(-1, 8 * nb_max * width, flags=mmap.MAP_PRIVATE)
+    with contextlib.suppress(AttributeError, OSError):  # Linux with THP
+        block.madvise(mmap.MADV_HUGEPAGE)
+    try:
+        noise_buf, stage, table = (
+            np.frombuffer(block),
+            np.empty((max(1, min(width, _STAGE // nb_max)), nb_max)),
+            np.empty((width, 9), dtype=np.uint64))
+        for lo, hi in zip(bounds, bounds[1:]):
+            run(lo, hi)
+    except BaseException as e:  # its traceback must not keep run's views
+        traceback.clear_frames(e.__traceback__)
+        raise
+    finally:
+        noise_buf = None  # a mapping cannot close while a view of it lives
+        block.close()
 
     return BatchPaths(
         path_index=idx, exploded=np.isfinite(tau), tau_hat=tau,

@@ -3,6 +3,7 @@ wedge geometry, Lyapunov construction, and grid verification."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -663,6 +664,27 @@ class TestBuildAndVerify:
         for gamma in (0.9, 0.75):
             with pytest.raises(q.DomainError, match="gamma"):
                 q.verify_generator_inequality(spec, params(gamma=gamma))
+
+    def test_growth_constant_margin_is_relative(self):
+        # at sigma 1e-20, beta 0 the growth constant is 2.9e-41, below any
+        # absolute margin: a halved C is refused as on the README model
+        for p in (params(), params(sigma=1e-20, beta=0.0)):
+            spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+            assert q.verify_generator_inequality(spec, p).violations == 0
+            with pytest.raises(q.DomainError, match="growth constant"):
+                q.verify_generator_inequality(replace(spec, C=0.5 * spec.C), p)
+
+    def test_overflowing_sigma_squared_reads_inf(self):
+        # sigma^2 = inf, as check_condition reads it: no OverflowError
+        p = params()
+        spec = q.build_lyapunov(p, q.check_condition(p, "II"))
+        huge = params(sigma=1e200)
+        assert xc._c_growth(huge, spec.deltas) == math.inf
+        with pytest.raises(q.DomainError, match="growth constant"):
+            q.verify_generator_inequality(spec, huge)
+        assert q.as_explosion_r0_threshold(1.0, huge).overflow
+        band = q.wedge_feasible_slopes(spec.R, huge, spec.deltas)
+        assert band.slope_lo is None and not band.ineq1_holds
 
 
 def far_slack_min(spec, p):

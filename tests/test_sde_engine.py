@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,14 +165,20 @@ class TestDeterminism:
         np.testing.assert_array_equal(fwd.rec_r[:, 0], rev.rec_r[:, 3])
         np.testing.assert_array_equal(fwd.rec_r[:, 3], rev.rec_r[:, 0])
 
-    def test_thread_count_irrelevant(self):
+    def test_threads_start_no_thread(self, monkeypatch):
+        # threads is checked and otherwise unused: the batch runs on the
+        # calling thread and equals the threads=1 batch, field by field
         p = params(beta=0.02)
         cfg = SimConfig(dt=0.01, horizon=2.0, n_paths=16, seed=5)
-        one = simulate_batch(p, FLAT, cfg, record=True, threads=1)
-        four = simulate_batch(p, FLAT, cfg, record=True, threads=4)
-        np.testing.assert_array_equal(one.rec_r, four.rec_r)
-        np.testing.assert_array_equal(one.rec_y, four.rec_y)
-        np.testing.assert_array_equal(one.tau_hat, four.tau_hat)
+        one = simulate_batch(p, FLAT, cfg, record=True, want_discount=True)
+
+        def refuse(self):
+            raise AssertionError("simulate_batch started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        four = simulate_batch(p, FLAT, cfg, record=True, want_discount=True,
+                              threads=4)
+        assert _digest(four) == _digest(one)
 
     def test_same_seed_same_result(self):
         p = params()
@@ -739,8 +746,10 @@ class TestMemory:
 
     def test_noise_block_unmapped_on_return_and_on_error(self, mappings,
                                                          monkeypatch):
+        # one mapping per call, whatever threads is
         cfg = SimConfig(dt=0.01, horizon=0.05, n_paths=30, seed=18)
-        simulate_batch(params(), FLAT, cfg, threads=2)
+        for threads in (1, 2):
+            simulate_batch(params(), FLAT, cfg, threads=threads)
         assert len(mappings) == 2 and all(m.closed for _, m in mappings)
 
         def fail(*args, **kwargs):
