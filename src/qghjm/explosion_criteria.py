@@ -327,7 +327,9 @@ def kappas(R: float, p: ModelParams, d: DeltaPair) -> tuple[float, float]:
         raise DomainError("R must be positive")
     A = _a_const(p, d)
     q = (1.0 + R) / R
-    k1 = A / (d.delta1 * _sigma2(p)) * q ** (d.delta1 + 1.0)
+    s2 = _sigma2(p)  # A / s2 tends to delta2 (delta2 + 1) / 2 as s2 overflows
+    k1 = (A / (d.delta1 * s2) if s2 < math.inf else
+          0.5 * d.delta2 * (d.delta2 + 1.0) / d.delta1) * q ** (d.delta1 + 1.0)
     k2 = A / d.delta2 * q ** (d.delta2 + 1.0)
     return k1, k2
 

@@ -143,6 +143,8 @@ def discount_consistency_check(p: ModelParams, curve: ForwardCurve,
     sanity check of the simulation. Exploded paths count as 0; see
     discount_estimate.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if T == 0.0:
         return McEstimate(mean=1.0, std_error=0.0, n=cfg.n_paths,
                           n_exploded=0, diverged=False)

@@ -15,25 +15,25 @@ Kernel
 simulate_batch runs contiguous chunks of at most about _CHUNK paths in
 order on the calling thread, on their live paths only; cols holds their
 positions in the batch. One noise block, one path-major stage of _STAGE
-doubles and one uint64 state table serve every chunk of a call. The
-noise block, at most 1024 steps by the widest chunk, is a private anonymous
+doubles and one Philox generator per chunk column serve every chunk. The
+noise block, at most 512 steps by the widest chunk, is a private anonymous
 mapping of its own that goes back to the OS when the call returns. A
 malloc'd block just under glibc's 32 MiB ceiling for its dynamic mmap
 threshold would come from the heap and stay resident after the call, so
-back-to-back calls would stack their blocks. A chunk's Philox is re-keyed
-per path from a template state: key[1] = i for a path's first block of 1024
-steps, then the counter, buffer and buffer_pos that the table carried over.
-A block is step-major, one column per path live at its start. The step
-evaluates model_core.coefficients into preallocated buffers (out=, same
-per-element order and bits) at lambda and lambda' of the block's steps
-only: the curve is read per block, so no array grows with the step count.
-A path stops at the first step whose update gives r or y at or above the
-explosion threshold, or a non-finite value: tau_hat is the left edge of
-that step (bias at most dt). It idles at (lambda0, 0), reset whenever it
-crosses again and masked out of records and exits, until the live arrays
-are compacted at the next block's start. Every path leaves through one
-exit that writes its terminal r, y and log-discount: at its death step
-with its last good state, or at the end.
+back-to-back calls would stack their blocks. A column's generator is keyed
+from a template state (key[1] = i, counter 0) at its path's first block,
+then keeps its own counter and buffer; a run of one block shares one
+generator, re-keyed per path. A block is step-major, one column per path
+live at its start. The step evaluates model_core.coefficients into
+preallocated buffers (out=, same per-element order and bits) at lambda and
+lambda' of the block's steps only: the curve is read per block, so no array
+grows with the step count. A path stops at the first step whose update
+gives r or y at or above the explosion threshold, or a non-finite value:
+tau_hat is the left edge of that step (bias at most dt). It idles at
+(lambda0, 0), reset whenever it crosses again and masked out of records and
+exits, until the live arrays are compacted at the next block's start. Every
+path leaves through one exit that writes its terminal r, y and
+log-discount: at its death step with its last good state, or at the end.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -70,7 +70,7 @@ __all__ = [
     "write_explosions_csv",
 ]
 
-_NOISE_BLOCK = 1024
+_NOISE_BLOCK = 512
 _CHUNK = 16384
 _STAGE = 1 << 16  # doubles in the path-major noise stage
 
@@ -211,8 +211,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         st = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0,
               "buffer": [0] * 4, "buffer_pos": 4,
               "state": {"counter": [0] * 4, "key": [cfg.seed, 0]}}
-        key, bg = st["state"]["key"], np.random.Philox()
-        draw = np.random.Generator(bg).standard_normal
+        key = st["state"]["key"]
         r, y = np.full(hi - lo, curve.lambda0), np.zeros(hi - lo)
         rn, yn, mu_r, mu_y, sr = np.empty((5, hi - lo))
         disc = np.zeros(hi - lo)
@@ -240,17 +239,11 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             for j0 in range(0, len(pos), len(rows)):
                 grp = pos[j0:j0 + len(rows)]
                 for c, row in zip(grp, rows):
-                    key[1] = ids[c - lo]
-                    if k0:
-                        s = table[c - lo].tolist()
-                        st["state"]["counter"], st["buffer"] = s[:4], s[4:8]
-                        st["buffer_pos"] = s[8]
-                    bg.state = st
-                    draw(out=row)
-                    if k0 + nb < n_steps:
-                        s, t = bg.state, table[c - lo]
-                        t[:4], t[4:8] = s["state"]["counter"], s["buffer"]
-                        t[8] = s["buffer_pos"]
+                    gen = gens[c - lo]
+                    if not k0:  # the path's first block keys its generator
+                        key[1] = ids[c - lo]
+                        gen.bit_generator.state = st
+                    gen.standard_normal(out=row)
                 noise[:, j0:j0 + len(grp)] = stage[:len(grp), :nb].T
             for k in range(k0, k0 + nb):
                 if rec_r is not None and k % stride == 0:
@@ -287,16 +280,19 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     bounds = np.linspace(0, n, -(-n // _CHUNK) + 1, dtype=int).tolist()
     nb_max = min(_NOISE_BLOCK, n_steps)
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    # one generator per chunk column carries a path's Philox state across
+    # blocks (one for all in a one-block run); a key skips the OS entropy
+    gens = [np.random.Generator(np.random.Philox(key=0))
+            for _ in range(width if n_steps > nb_max else 1)]
+    gens *= width // len(gens)
     # the noise block: private anonymous memory with huge pages, as numpy
     # asks for its own large arrays (4 KiB pages fault 512 times as often)
     block = mmap.mmap(-1, 8 * nb_max * width, flags=mmap.MAP_PRIVATE)
     with contextlib.suppress(AttributeError, OSError):  # Linux with THP
         block.madvise(mmap.MADV_HUGEPAGE)
     try:
-        noise_buf, stage, table = (
-            np.frombuffer(block),
-            np.empty((max(1, min(width, _STAGE // nb_max)), nb_max)),
-            np.empty((width, 9), dtype=np.uint64))
+        noise_buf = np.frombuffer(block)
+        stage = np.empty((max(1, min(width, _STAGE // nb_max)), nb_max))
         for lo, hi in zip(bounds, bounds[1:]):
             run(lo, hi)
     except BaseException as e:  # its traceback must not keep run's views

@@ -447,6 +447,18 @@ class TestKappas:
         k1, k2 = q.kappas(3.0, p, d)
         assert k2 / k1 == pytest.approx(p.sigma ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [1e150, 1e200])
+    def test_kappa1_finite_as_sigma_squared_overflows(self, sigma):
+        # kappa1 tends to delta2 (delta2 + 1) / (2 delta1) ((1+R)/R)^(delta1+1)
+        # as sigma grows; at 1e200 sigma^2 overflows and A / sigma^2 is
+        # inf / inf, so the limit is returned
+        d = q.DeltaPair(SQ2M1, 1.0)
+        k1, k2 = q.kappas(2.0, params(sigma=sigma), d)
+        assert k1 == 1.2546299451440932
+        assert k1 == pytest.approx(0.5 * d.delta2 * (d.delta2 + 1.0)
+                                   / d.delta1 * 1.5 ** (d.delta1 + 1.0),
+                                   rel=1e-15)
+
 
 class TestWedge:
     def test_huge_beta_empty(self):

@@ -224,6 +224,13 @@ class TestDiscountConsistency:
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("T", [0.0, 1.0])
+    def test_threads_checked_at_every_maturity(self, T):
+        # the T = 0 shortcut checks threads too
+        cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=10, seed=10)
+        with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
+            discount_consistency_check(params(), FLAT, cfg, T, threads=0)
+
     @pytest.mark.parametrize("T", [0.005, -1.0])
     def test_maturity_below_one_step(self, T):
         cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=10, seed=10)

@@ -209,7 +209,7 @@ class TestDeterminism:
                 assert getattr(one, f)[0] == getattr(batch, f)[pos], f
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
-        # 7-path chunks and 1024-step noise blocks cut through a shuffled
+        # 7-path chunks and 512-step noise blocks cut through a shuffled
         # batch with repeated indices; every path must equal its lone run
         # and a scalar Euler loop on a fresh Philox(key=[seed, i]) stream
         monkeypatch.setattr(eng, "_CHUNK", 7)
@@ -698,6 +698,33 @@ def mappings(monkeypatch):
     return made
 
 
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="VmHWM of /proc/self/status")
+
+
+def child_peaks(body: str) -> list:
+    """VmHWM in KiB at each peaks.append(peak_kib()) of body, run in a fresh
+    interpreter with the flat model p (sigma 0.2, beta 0) and its curve.
+    The peak is VmHWM, not ru_maxrss: exec carries the spawning process's
+    peak into the child's ru_maxrss, so pytest's would show."""
+    code = textwrap.dedent("""
+        from qghjm import ForwardCurve, ModelParams, SimConfig, simulate_batch
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh
+                            if line.startswith("VmHWM:"))
+        p = ModelParams(sigma=0.2, beta=0.0, gamma=1.0, epsilon=0.01,
+                        lambda0=0.1)
+        curve = ForwardCurve.flat(0.1)
+        peaks = []
+    """) + textwrap.dedent(body) + "print(*peaks)\n"
+    src = os.path.dirname(os.path.dirname(qghjm.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    return [int(v) for v in out.split()]
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees while fn runs."""
     tracemalloc.start()
@@ -710,7 +737,7 @@ def traced_peak(fn) -> int:
 
 class TestMemory:
     def test_noise_buffer_sized_to_steps(self, mappings):
-        # a one-step run must not hold a 1024-step noise block per path
+        # a one-step run must not hold a full noise block per path
         cfg = SimConfig(dt=0.01, horizon=0.01, n_paths=5000, seed=18)
         peak = traced_peak(lambda: simulate_batch(params(), FLAT, cfg))
         mapped = sum(size for size, _ in mappings)
@@ -761,37 +788,53 @@ class TestMemory:
             simulate_batch(params(), FLAT, cfg)
         assert len(mappings) == 3 and mappings[-1][1].closed
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="VmHWM of /proc/self/status, glibc malloc")
+    def test_one_generator_per_chunk_column(self, monkeypatch):
+        # a one-block run re-keys one Philox generator per path; a run of
+        # several blocks keeps one per chunk column, reused by every chunk
+        built, real = [], np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        cfg = SimConfig(dt=0.01, horizon=5.12, n_paths=5000, seed=18)
+        assert cfg.n_steps == eng._NOISE_BLOCK
+        simulate_batch(params(), FLAT, cfg)
+        assert len(built) <= 1
+        monkeypatch.setattr(eng, "_CHUNK", 7)
+        cfg = SimConfig(dt=0.01, horizon=12.0, n_paths=40, seed=18)
+        assert cfg.n_steps > 2 * eng._NOISE_BLOCK
+        built.clear()
+        simulate_batch(params(), FLAT, cfg)
+        assert len(built) <= 7
+
+    @linux_only
     def test_back_to_back_calls_do_not_ratchet_rss(self):
         # 12000 paths: noise blocks of 365 and 274 steps are 35.0 MB and
         # 26.3 MB, on either side of glibc's 32 MiB mmap threshold ceiling;
         # from the heap, the smaller one stays resident under the larger.
-        # The peak is VmHWM, not ru_maxrss: exec carries the spawning
-        # process's peak into the child's ru_maxrss, so pytest's would show.
-        code = textwrap.dedent("""
-            from qghjm import ForwardCurve, ModelParams, SimConfig, simulate_batch
-            def peak_kib():
-                with open("/proc/self/status") as fh:
-                    return next(int(line.split()[1]) for line in fh
-                                if line.startswith("VmHWM:"))
-            p = ModelParams(sigma=0.2, beta=0.0, gamma=1.0, epsilon=0.01,
-                            lambda0=0.1)
-            curve = ForwardCurve.flat(0.1)
-            peaks = []
+        first, last = child_peaks("""
             for _ in range(3):
                 for horizon in (1.0, 0.75):
                     simulate_batch(p, curve, SimConfig(
                         dt=1 / 365, horizon=horizon, n_paths=12000, seed=5))
                 peaks.append(peak_kib())
-            print(peaks[0], peaks[-1])
-        """)
-        src = os.path.dirname(os.path.dirname(qghjm.__file__))
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True).stdout
-        first, last = (int(v) for v in out.split())
+        """)[::2]
         assert last - first < 5 * 1024  # KiB
+
+    @linux_only
+    def test_multi_block_noise_memory(self):
+        # after a one-step warm-up, 1500 steps of 10000 paths: three noise
+        # blocks of 512 steps, 41 MB, with the state of each path in its
+        # column's generator, about 12 MB for the 10000
+        first, last = child_peaks("""
+            for horizon in (0.01, 15.0):
+                simulate_batch(p, curve, SimConfig(
+                    dt=0.01, horizon=horizon, n_paths=10000, seed=5))
+                peaks.append(peak_kib())
+        """)
+        assert last - first < 60e6 / 1024  # KiB
 
 
 class TestCsv:
