@@ -209,9 +209,10 @@ class TestDeterminism:
                 assert getattr(one, f)[0] == getattr(batch, f)[pos], f
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
-        # 7-path chunks and 512-step noise blocks cut through a shuffled
-        # batch with repeated indices; every path must equal its lone run
-        # and a scalar Euler loop on a fresh Philox(key=[seed, i]) stream
+        # 3-path chunks (7 // 2 in a run of several blocks) and 512-step
+        # noise blocks cut through a shuffled batch with repeated indices;
+        # every path must equal its lone run and a scalar Euler loop on a
+        # fresh Philox(key=[seed, i]) stream
         monkeypatch.setattr(eng, "_CHUNK", 7)
         p = params(sigma=0.5, beta=0.01)
         cfg = SimConfig(dt=0.02, horizon=50.0, n_paths=40, seed=62,
@@ -790,7 +791,8 @@ class TestMemory:
 
     def test_one_generator_per_chunk_column(self, monkeypatch):
         # a one-block run re-keys one Philox generator per path; a run of
-        # several blocks keeps one per chunk column, reused by every chunk
+        # several blocks keeps one per column of its half-width chunks,
+        # reused by every chunk
         built, real = [], np.random.Philox
 
         def counting(*args, **kwargs):
@@ -807,7 +809,32 @@ class TestMemory:
         assert cfg.n_steps > 2 * eng._NOISE_BLOCK
         built.clear()
         simulate_batch(params(), FLAT, cfg)
-        assert len(built) <= 7
+        assert len(built) <= 7 // 2
+
+    def test_chunk_width_by_block_count(self, mappings):
+        # the noise mapping is one block by the widest chunk: 10000 paths of
+        # three blocks run as two chunks of 5000 (at most _CHUNK // 2), and
+        # 20000 paths of one 365-step block as two chunks of 10000
+        for n_paths, dt, horizon, size in (
+                (10000, 0.01, 15.0, 8 * 512 * 5000),
+                (20000, 1 / 365, 1.0, 8 * 365 * 10000)):
+            cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n_paths, seed=18)
+            mappings.clear()
+            simulate_batch(params(), FLAT, cfg)
+            assert [m for m, _ in mappings] == [size]
+
+    def test_one_path_chunks(self, monkeypatch):
+        # _CHUNK 1 still gives chunks of one path in a run of several
+        # blocks, not of none, and the same paths
+        cfg = SimConfig(dt=0.02, horizon=25.0, n_paths=5, seed=18)
+        assert cfg.n_steps > 2 * eng._NOISE_BLOCK
+        wide = simulate_batch(params(sigma=0.5), FLAT, cfg, want_discount=True)
+        monkeypatch.setattr(eng, "_CHUNK", 1)
+        narrow = simulate_batch(params(sigma=0.5), FLAT, cfg,
+                                want_discount=True)
+        for f in ("tau_hat", "terminal_r", "terminal_y", "log_discount"):
+            np.testing.assert_array_equal(getattr(narrow, f),
+                                          getattr(wide, f))
 
     @linux_only
     def test_back_to_back_calls_do_not_ratchet_rss(self):
@@ -825,16 +852,17 @@ class TestMemory:
 
     @linux_only
     def test_multi_block_noise_memory(self):
-        # after a one-step warm-up, 1500 steps of 10000 paths: three noise
-        # blocks of 512 steps, 41 MB, with the state of each path in its
-        # column's generator, about 12 MB for the 10000
+        # after a one-step warm-up, 1500 steps of 10000 paths: two chunks
+        # of 5000 (three blocks is more than one, so half-width chunks),
+        # each with noise blocks of 512 steps, 20.5 MB, and the state of
+        # each path in its column's generator, about 6 MB for the 5000
         first, last = child_peaks("""
             for horizon in (0.01, 15.0):
                 simulate_batch(p, curve, SimConfig(
                     dt=0.01, horizon=horizon, n_paths=10000, seed=5))
                 peaks.append(peak_kib())
         """)
-        assert last - first < 60e6 / 1024  # KiB
+        assert last - first < 30e6 / 1024  # KiB
 
 
 class TestCsv:
