@@ -12,19 +12,15 @@ noise.
 
 Kernel
 ------
-simulate_batch runs contiguous chunks of at most _CHUNK paths in order on
-the calling thread, on their live paths only; cols holds their positions
-in the batch. A run of more than one noise block caps its chunks at
-_CHUNK // 2: there the chunk width sizes both the noise block and a pool
-of one generator per column, and half-width chunks halve both for about
-the same time. A one-block run has no pool, and narrower chunks would
-only add step time. One noise block, one path-major stage of _STAGE doubles and one
-Philox generator per chunk column serve every chunk. The noise block, at
-most 512 steps by the widest chunk, is a private anonymous mapping of its
-own that goes back to the OS when the call returns. A malloc'd block just
-under glibc's 32 MiB ceiling for its dynamic mmap threshold would come
-from the heap and stay resident after the call, so back-to-back calls
-would stack their blocks. A column's generator is keyed
+simulate_batch runs contiguous chunks of at most about _CHUNK paths in
+order on the calling thread, on their live paths only; cols holds their
+positions in the batch. One noise block, one path-major stage of _STAGE
+doubles and one Philox generator per chunk column serve every chunk. The
+noise block, at most 512 steps by the widest chunk, is a private anonymous
+mapping of its own that goes back to the OS when the call returns. A
+malloc'd block just under glibc's 32 MiB ceiling for its dynamic mmap
+threshold would come from the heap and stay resident after the call, so
+back-to-back calls would stack their blocks. A column's generator is keyed
 from a template state (key[1] = i, counter 0) at its path's first block,
 then keeps its own counter and buffer; a run of one block shares one
 generator, re-keyed per path. A block is step-major, one column per path
@@ -38,6 +34,9 @@ tau_hat is the left edge of that step (bias at most dt). It idles at
 exits, until the live arrays are compacted at the next block's start. Every
 path leaves through one exit that writes its terminal r, y and
 log-discount: at its death step with its last good state, or at the end.
+The chunk width sizes the noise block and, in a run of more than one
+block, the generator pool: 8192 keeps a 10k-path run to two chunks of
+5000.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 _NOISE_BLOCK = 512
-_CHUNK = 16384
+_CHUNK = 8192
 _STAGE = 1 << 16  # doubles in the path-major noise stage
 
 
@@ -175,11 +174,9 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                    threads: int = 1) -> BatchPaths:
     """Simulate a batch of paths (default: indices 0 .. n_paths-1).
 
-    Contiguous chunks of at most _CHUNK paths, or _CHUNK // 2 when the
-    run spans more than one noise block (its per-column generators and
-    noise block scale with the chunk width), run in order on the calling
-    thread and fill disjoint slices. threads must be >= 1 and is otherwise
-    unused: no output depends on it.
+    Contiguous chunks of about _CHUNK paths or fewer run in order on the
+    calling thread and fill disjoint slices. threads must be >= 1 and is
+    otherwise unused: no output depends on it.
     """
     n_steps = cfg.n_steps
     if not cfg.explosion_threshold >= 10.0 * p.lambda0:
@@ -283,13 +280,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             rec_y[n_steps // stride, cols[live]] = y[live]
         leave(live)
 
-    # a run of several blocks keeps a generator per chunk column, so its
-    # chunks are half as wide, which halves the pool and the noise block;
-    # a one-block run has no pool, and narrower chunks there would only
-    # add chunks
-    many = n_steps > _NOISE_BLOCK
-    cap = max(1, _CHUNK // 2) if many else _CHUNK
-    bounds = np.linspace(0, n, -(-n // cap) + 1, dtype=int).tolist()
+    bounds = np.linspace(0, n, -(-n // _CHUNK) + 1, dtype=int).tolist()
     nb_max = min(_NOISE_BLOCK, n_steps)
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     # one generator per chunk column carries a path's Philox state across
@@ -297,7 +288,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
     # first block, so one seed sequence, made once, builds them all
     ss = np.random.SeedSequence(0)
     gens = [np.random.Generator(np.random.Philox(ss))
-            for _ in range(width if many else 1)]
+            for _ in range(width if n_steps > nb_max else 1)]
     gens *= width // len(gens)
     # the noise block: private anonymous memory with huge pages, as numpy
     # asks for its own large arrays (4 KiB pages fault 512 times as often)

@@ -209,10 +209,9 @@ class TestDeterminism:
                 assert getattr(one, f)[0] == getattr(batch, f)[pos], f
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
-        # 3-path chunks (7 // 2 in a run of several blocks) and 512-step
-        # noise blocks cut through a shuffled batch with repeated indices;
-        # every path must equal its lone run and a scalar Euler loop on a
-        # fresh Philox(key=[seed, i]) stream
+        # 7-path chunks and 512-step noise blocks cut through a shuffled
+        # batch with repeated indices; every path must equal its lone run
+        # and a scalar Euler loop on a fresh Philox(key=[seed, i]) stream
         monkeypatch.setattr(eng, "_CHUNK", 7)
         p = params(sigma=0.5, beta=0.01)
         cfg = SimConfig(dt=0.02, horizon=50.0, n_paths=40, seed=62,
@@ -791,8 +790,7 @@ class TestMemory:
 
     def test_one_generator_per_chunk_column(self, monkeypatch):
         # a one-block run re-keys one Philox generator per path; a run of
-        # several blocks keeps one per column of its half-width chunks,
-        # reused by every chunk
+        # several blocks keeps one per chunk column, reused by every chunk
         built, real = [], np.random.Philox
 
         def counting(*args, **kwargs):
@@ -809,38 +807,21 @@ class TestMemory:
         assert cfg.n_steps > 2 * eng._NOISE_BLOCK
         built.clear()
         simulate_batch(params(), FLAT, cfg)
-        assert len(built) <= 7 // 2
+        assert len(built) <= 7
 
-    def test_chunk_width_by_block_count(self, mappings):
-        # the noise mapping is one block by the widest chunk: 10000 paths of
-        # three blocks run as two chunks of 5000 (at most _CHUNK // 2), and
-        # 20000 paths of one 365-step block as two chunks of 10000
-        for n_paths, dt, horizon, size in (
-                (10000, 0.01, 15.0, 8 * 512 * 5000),
-                (20000, 1 / 365, 1.0, 8 * 365 * 10000)):
-            cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n_paths, seed=18)
-            mappings.clear()
-            simulate_batch(params(), FLAT, cfg)
-            assert [m for m, _ in mappings] == [size]
-
-    def test_one_path_chunks(self, monkeypatch):
-        # _CHUNK 1 still gives chunks of one path in a run of several
-        # blocks, not of none, and the same paths
-        cfg = SimConfig(dt=0.02, horizon=25.0, n_paths=5, seed=18)
-        assert cfg.n_steps > 2 * eng._NOISE_BLOCK
-        wide = simulate_batch(params(sigma=0.5), FLAT, cfg, want_discount=True)
-        monkeypatch.setattr(eng, "_CHUNK", 1)
-        narrow = simulate_batch(params(sigma=0.5), FLAT, cfg,
-                                want_discount=True)
-        for f in ("tau_hat", "terminal_r", "terminal_y", "log_discount"):
-            np.testing.assert_array_equal(getattr(narrow, f),
-                                          getattr(wide, f))
+    def test_noise_block_by_chunk_width(self, mappings):
+        # the noise mapping is one block by the widest chunk: 10000 paths
+        # of three blocks run as two chunks of 5000
+        cfg = SimConfig(dt=0.01, horizon=15.0, n_paths=10000, seed=18)
+        simulate_batch(params(), FLAT, cfg)
+        assert [m for m, _ in mappings] == [8 * 512 * 5000]
 
     @linux_only
     def test_back_to_back_calls_do_not_ratchet_rss(self):
-        # 12000 paths: noise blocks of 365 and 274 steps are 35.0 MB and
-        # 26.3 MB, on either side of glibc's 32 MiB mmap threshold ceiling;
-        # from the heap, the smaller one stays resident under the larger.
+        # 12000 paths, two chunks of 6000: noise blocks of 365 and 274
+        # steps are 17.5 MB and 13.2 MB; from the heap, where glibc's mmap
+        # threshold rises to the larger once it is freed, the smaller one
+        # would stay resident under the larger.
         first, last = child_peaks("""
             for _ in range(3):
                 for horizon in (1.0, 0.75):
@@ -853,9 +834,9 @@ class TestMemory:
     @linux_only
     def test_multi_block_noise_memory(self):
         # after a one-step warm-up, 1500 steps of 10000 paths: two chunks
-        # of 5000 (three blocks is more than one, so half-width chunks),
-        # each with noise blocks of 512 steps, 20.5 MB, and the state of
-        # each path in its column's generator, about 6 MB for the 5000
+        # of 5000, each with noise blocks of 512 steps, 20.5 MB, and the
+        # state of each path in its column's generator, about 6 MB for the
+        # 5000
         first, last = child_peaks("""
             for horizon in (0.01, 15.0):
                 simulate_batch(p, curve, SimConfig(
