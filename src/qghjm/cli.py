@@ -4,9 +4,10 @@
           [--threads N] [--seed N (if it reads sim)] [--c3-scale S (verify)]
 
 All inputs come from one JSON config, read strictly by _setup: finite
-numbers only, every section an object with no unknown and no missing key
-(model, sim: the ModelParams, SimConfig fields; a command's own section:
-its _COMMANDS row); --threads must be >= 1 and runs nothing in parallel.
+numbers only, no key given twice in one object, every section an object
+with no unknown and no missing key (model, sim: the ModelParams, SimConfig
+fields; a command's own section: its _COMMANDS row); --threads must be
+>= 1 and runs nothing in parallel.
 Outputs are plot-ready CSV files plus JSON summaries that embed the
 resolved configuration. Exit codes: 0 success, 2 configuration error (any
 ConfigError, or a run too large to allocate), 3 no certificate or
@@ -43,6 +44,15 @@ def _finite(text: str) -> float:
     return x
 
 
+def _unique(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 @contextmanager
 def _reading(what: str):
     """Report a malformed value read in the block, or one the library
@@ -63,7 +73,8 @@ def _setup(args) -> list:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     try:
         with open(args.config) as fh:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            object_pairs_hook=_unique)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read {args.config}: {e}") from None
     name = args.command

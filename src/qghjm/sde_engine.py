@@ -13,28 +13,29 @@ noise.
 Kernel
 ------
 simulate_batch runs contiguous chunks of at most about _CHUNK paths in
-order on the calling thread, on their live paths only; cols holds their
+order in its own frame, on their live paths only; cols holds their
 positions in the batch. One noise block, one path-major stage of _STAGE
 doubles and one Philox generator per chunk column serve every chunk. The
 noise block, at most 512 steps by the widest chunk, is a private anonymous
-mapping of its own that goes back to the OS when the call returns. A
-malloc'd block just under glibc's 32 MiB ceiling for its dynamic mmap
-threshold would come from the heap and stay resident after the call, so
-back-to-back calls would stack their blocks. A column's generator is keyed
-from a template state (key[1] = i, counter 0) at its path's first block,
-then keeps its own counter and buffer; a run of one block shares one
-generator, re-keyed per path. A block is step-major, one column per path
-live at its start. The step evaluates model_core.coefficients into
-preallocated buffers (out=, same per-element order and bits) at lambda and
-lambda' of the block's steps only: the curve is read per block, so no array
-grows with the step count. A path stops at the first step whose update
-gives r or y at or above the explosion threshold, or a non-finite value:
-tau_hat is the left edge of that step (bias at most dt). It idles at
-(lambda0, 0), reset whenever it crosses again and masked out of records and
-exits, until the live arrays are compacted at the next block's start. Every
-path leaves through one exit that writes its terminal r, y and
-log-discount: at its death step with its last good state, or at the end.
-The chunk width sizes the noise block and, in a run of more than one
+mapping, unmapped when the call returns: a malloc'd block under glibc's
+32 MiB dynamic mmap threshold would stay resident on the heap, and
+back-to-back calls would stack their blocks. The finally that closes the
+mapping first drops the views of it, which would keep it open. A column's
+generator is keyed from one template state (key[1] = i, counter 0) at its
+path's first block, then keeps its own counter and buffer; a run of one
+block shares one generator, re-keyed per path. A block is step-major, one
+column per path live at its start. The step evaluates
+model_core.coefficients into preallocated buffers (out=, same per-element
+order and bits) at lambda and lambda' of the block's steps only: the curve
+is read per block, so no array grows with the step count. A path stops at
+the first step whose update gives r or y at or above the explosion
+threshold, or a non-finite value: tau_hat is the left edge of that step
+(bias at most dt). It idles at (lambda0, 0), reset whenever it crosses
+again and masked out of records and exits, until the live arrays are
+compacted at the next block's start, where a chunk with no live path
+ends. Every path leaves through one exit that writes its terminal r, y
+and log-discount: at its death step with its last good state, or at the
+end. The chunk width sizes the noise block and, in a run of more than one
 block, the generator pool: 8192 keeps a 10k-path run to two chunks of
 5000.
 
@@ -49,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
-import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -202,94 +202,33 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
 
     tau, term_r, term_y = np.full(n, np.inf), np.empty(n), np.empty(n)
     rec_r = rec_y = rec_t = None
-    if record:
+    if record:  # every path starts at (lambda0, 0)
         rec_t = np.arange(0, n_steps + 1, stride) * dt
         rec_r = np.full((len(rec_t), n), np.nan)
         rec_y = np.full((len(rec_t), n), np.nan)
+        rec_r[0], rec_y[0] = curve.lambda0, 0.0
     ldisc = np.zeros(n) if want_discount else None
 
-    def run(lo: int, hi: int) -> None:
-        """Simulate batch positions lo..hi-1."""
-        cols, ids = np.arange(lo, hi), idx[lo:hi].tolist()
-        st = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0,
-              "buffer": [0] * 4, "buffer_pos": 4,
-              "state": {"counter": [0] * 4, "key": [cfg.seed, 0]}}
-        key = st["state"]["key"]
-        r, y = np.full(hi - lo, curve.lambda0), np.zeros(hi - lo)
-        rn, yn, mu_r, mu_y, sr = np.empty((5, hi - lo))
-        disc = np.zeros(hi - lo)
-
-        def leave(sel) -> None:  # the one exit: live paths sel end here
-            at = cols[sel]
-            term_r[at], term_y[at] = r[sel], y[sel]
-            if ldisc is not None:
-                ldisc[at] = disc[sel]
-
-        live = np.ones(hi - lo, dtype=bool)  # of the block's columns
-        for k0 in range(0, n_steps, _NOISE_BLOCK):
-            if not live.all():  # the paths that died in the last block go
-                cols, r, y, disc = cols[live], r[live], y[live], disc[live]
-                rn, yn, mu_r, mu_y, sr = (
-                    a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
-                live = live[live]
-            nb = min(_NOISE_BLOCK, n_steps - k0)
-            lam, dlam = curve.rate_and_slope(dt * np.arange(k0, k0 + nb))
-            # live path j draws into column j of a block as wide as the live
-            # set, through the path-major stage (a strided column write per
-            # path costs more than the copy)
-            pos, rows = cols.tolist(), [s[:nb] for s in stage]
-            noise = noise_buf[:nb * len(pos)].reshape(nb, len(pos))
-            for j0 in range(0, len(pos), len(rows)):
-                grp = pos[j0:j0 + len(rows)]
-                for c, row in zip(grp, rows):
-                    gen = gens[c - lo]
-                    if not k0:  # the path's first block keys its generator
-                        key[1] = ids[c - lo]
-                        gen.bit_generator.state = st
-                    gen.standard_normal(out=row)
-                noise[:, j0:j0 + len(grp)] = stage[:len(grp), :nb].T
-            for k in range(k0, k0 + nb):
-                if rec_r is not None and k % stride == 0:
-                    rec_r[k // stride, cols[live]] = r[live]
-                    rec_y[k // stride, cols[live]] = y[live]
-                if ldisc is not None:  # mu_r as scratch
-                    disc += np.multiply(r, dt, out=mu_r)
-                coefficients(r, y, lam[k - k0], dlam[k - k0], p,
-                             out=(mu_r, mu_y, sr))
-                # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
-                np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
-                rn += np.multiply(np.multiply(sr, sqrt_dt, out=sr),
-                                  noise[k - k0], out=sr)
-                np.maximum(np.add(y, np.multiply(mu_y, dt, out=mu_y), out=yn),
-                           0.0, out=yn)
-                # rn, yn finite and below thr (yn is never -inf; nan fails)
-                if not (rn.max() < thr and yn.max() < thr
-                        and rn.min() > -np.inf):
-                    ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
-                    died = live & ~ok  # they leave with their last good state
-                    tau[cols[died]] = k * dt
-                    leave(died)
-                    live &= ok
-                    rn[~ok], yn[~ok] = curve.lambda0, 0.0  # dead paths idle
-                    if not live.any():
-                        return
-                r, rn, y, yn = rn, r, yn, y
-
-        if rec_r is not None and n_steps % stride == 0:
-            rec_r[n_steps // stride, cols[live]] = r[live]
-            rec_y[n_steps // stride, cols[live]] = y[live]
-        leave(live)
+    def leave(sel) -> None:  # the one exit: live paths sel end here
+        at = cols[sel]
+        term_r[at], term_y[at] = r[sel], y[sel]
+        if ldisc is not None:
+            ldisc[at] = disc[sel]
 
     bounds = np.linspace(0, n, -(-n // _CHUNK) + 1, dtype=int).tolist()
     nb_max = min(_NOISE_BLOCK, n_steps)
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     # one generator per chunk column carries a path's Philox state across
-    # blocks (one for all in a one-block run); each is keyed at its path's
-    # first block, so one seed sequence, made once, builds them all
+    # blocks (one for all in a one-block run); each is keyed from st at its
+    # path's first block, so one seed sequence, made once, builds them all
     ss = np.random.SeedSequence(0)
     gens = [np.random.Generator(np.random.Philox(ss))
             for _ in range(width if n_steps > nb_max else 1)]
     gens *= width // len(gens)
+    st = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0,
+          "buffer": [0] * 4, "buffer_pos": 4,
+          "state": {"counter": [0] * 4, "key": [cfg.seed, 0]}}
+    key = st["state"]["key"]
     # the noise block: private anonymous memory with huge pages, as numpy
     # asks for its own large arrays (4 KiB pages fault 512 times as often)
     block = mmap.mmap(-1, 8 * nb_max * width, flags=mmap.MAP_PRIVATE)
@@ -297,14 +236,66 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
         block.madvise(mmap.MADV_HUGEPAGE)
     try:
         noise_buf = np.frombuffer(block)
-        stage = np.empty((max(1, min(width, _STAGE // nb_max)), nb_max))
-        for lo, hi in zip(bounds, bounds[1:]):
-            run(lo, hi)
-    except BaseException as e:  # its traceback must not keep run's views
-        traceback.clear_frames(e.__traceback__)
-        raise
-    finally:
-        noise_buf = None  # a mapping cannot close while a view of it lives
+        stage = np.empty((min(width, _STAGE // nb_max), nb_max))
+        for lo, hi in zip(bounds, bounds[1:]):  # batch positions lo..hi-1
+            cols, ids = np.arange(lo, hi), idx[lo:hi].tolist()
+            r, y = np.full(hi - lo, curve.lambda0), np.zeros(hi - lo)
+            rn, yn, mu_r, mu_y, sr = np.empty((5, hi - lo))
+            disc = np.zeros(hi - lo)
+            live = np.ones(hi - lo, dtype=bool)  # of the block's columns
+            for k0 in range(0, n_steps, _NOISE_BLOCK):
+                if not live.any():  # every path of the chunk has left
+                    break
+                if not live.all():  # the paths that died in the last block go
+                    cols, r, y, disc = cols[live], r[live], y[live], disc[live]
+                    rn, yn, mu_r, mu_y, sr = (
+                        a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
+                    live = live[live]
+                nb = min(_NOISE_BLOCK, n_steps - k0)
+                lam, dlam = curve.rate_and_slope(dt * np.arange(k0, k0 + nb))
+                # live path j draws into column j of a block as wide as the
+                # live set, through the path-major stage (a strided column
+                # write per path costs more than the copy)
+                pos, rows = cols.tolist(), [s[:nb] for s in stage]
+                noise = noise_buf[:nb * len(pos)].reshape(nb, len(pos))
+                for j0 in range(0, len(pos), len(rows)):
+                    grp = pos[j0:j0 + len(rows)]
+                    for c, row in zip(grp, rows):
+                        gen = gens[c - lo]
+                        if not k0:  # the path's first block keys its generator
+                            key[1] = ids[c - lo]
+                            gen.bit_generator.state = st
+                        gen.standard_normal(out=row)
+                    noise[:, j0:j0 + len(grp)] = stage[:len(grp), :nb].T
+                for k in range(k0, k0 + nb):
+                    if ldisc is not None:  # mu_r as scratch
+                        disc += np.multiply(r, dt, out=mu_r)
+                    coefficients(r, y, lam[k - k0], dlam[k - k0], p,
+                                 out=(mu_r, mu_y, sr))
+                    # rn = r + mu_r*dt + sr*sqrt_dt*z, yn = max(y + mu_y*dt, 0)
+                    np.add(r, np.multiply(mu_r, dt, out=mu_r), out=rn)
+                    rn += np.multiply(np.multiply(sr, sqrt_dt, out=sr),
+                                      noise[k - k0], out=sr)
+                    np.maximum(np.add(y, np.multiply(mu_y, dt, out=mu_y),
+                                      out=yn), 0.0, out=yn)
+                    # rn, yn finite and below thr (yn is never -inf; nan fails)
+                    if not (rn.max() < thr and yn.max() < thr
+                            and rn.min() > -np.inf):
+                        ok = (rn < thr) & (yn < thr) & (rn > -np.inf)
+                        died = live & ~ok  # leave with their last good state
+                        tau[cols[died]] = k * dt
+                        leave(died)
+                        live &= ok
+                        rn[~ok], yn[~ok] = curve.lambda0, 0.0  # the dead idle
+                        if not live.any():
+                            break
+                    r, rn, y, yn = rn, r, yn, y
+                    if rec_r is not None and (k + 1) % stride == 0:
+                        rec_r[(k + 1) // stride, cols[live]] = r[live]
+                        rec_y[(k + 1) // stride, cols[live]] = y[live]
+            leave(live)
+    finally:  # a mapping cannot close while a view of it lives
+        noise_buf = noise = None
         block.close()
 
     return BatchPaths(

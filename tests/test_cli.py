@@ -589,6 +589,21 @@ def test_seed_flag_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"model": %s, "sigma": 5.0}}' % json.dumps(MODEL)[:-1],
+    '{"model": %s, "model": %s}' % (json.dumps(MODEL),
+                                    json.dumps(dict(MODEL, sigma=5.0))),
+], ids=["model-key", "section"])
+def test_key_given_twice_exits_2(tmp_path, capsys, text):
+    # the reader would otherwise keep the last sigma, 5.0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "is given twice in one object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):

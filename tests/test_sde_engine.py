@@ -464,6 +464,24 @@ class TestBlockCompaction:
                                want_discount=True)
         self.check_paths(p, cfg, order, batch)
 
+    def test_chunk_in_which_every_path_dies(self, monkeypatch):
+        # chunks of 6: the first chunk's paths all die in block 0, so it
+        # ends there, and the second chunk's paths, which survive, still run
+        p = params(sigma=3.0)
+        cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=200, seed=74,
+                        explosion_threshold=1.0, record_stride=7)
+        assert cfg.n_steps > eng._NOISE_BLOCK
+        full = simulate_batch(p, FLAT, cfg)
+        dead = np.flatnonzero(full.tau_hat < eng._NOISE_BLOCK * cfg.dt)[:6]
+        alive = np.flatnonzero(~full.exploded)[:6]
+        assert len(dead) == len(alive) == 6
+        monkeypatch.setattr(eng, "_CHUNK", 6)
+        order = np.concatenate([dead, alive])
+        batch = simulate_batch(p, FLAT, cfg, order, record=True,
+                               want_discount=True)
+        assert batch.exploded.tolist() == [True] * 6 + [False] * 6
+        self.check_paths(p, cfg, order, batch)
+
 
 class TestScheme:
     def test_record_stride(self):
