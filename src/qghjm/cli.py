@@ -3,11 +3,11 @@
     qghjm simulate|region|verify|ode|price --config FILE --out DIR
           [--threads N] [--seed N (if it reads sim)] [--c3-scale S (verify)]
 
-All inputs come from one JSON config, read strictly by _setup: finite
-numbers only, no key given twice in one object, every section an object
-with no unknown and no missing key (model, sim: the ModelParams, SimConfig
-fields; a command's own section: its _COMMANDS row); --threads must be
->= 1 and runs nothing in parallel.
+All inputs come from one JSON config, read strictly by _setup: UTF-8,
+finite numbers only, no key given twice in one object, every section an
+object with no unknown and no missing key (model, sim: the ModelParams,
+SimConfig fields; a command's own section: its _COMMANDS row); --threads
+must be >= 1 and runs nothing in parallel.
 Outputs are plot-ready CSV files plus JSON summaries that embed the
 resolved configuration. Exit codes: 0 success, 2 configuration error (any
 ConfigError, or a run too large to allocate), 3 no certificate or
@@ -72,10 +72,11 @@ def _setup(args) -> list:
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:  # JSON's encoding
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite,
                             object_pairs_hook=_unique)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as e:  # nesting too deep for the decoder
         raise ConfigError(f"cannot read {args.config}: {e}") from None
     name = args.command
     reads, optional, keys, required, _ = _COMMANDS[name]

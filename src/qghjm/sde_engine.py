@@ -15,29 +15,33 @@ Kernel
 simulate_batch runs contiguous chunks of at most about _CHUNK paths in
 order in its own frame, on their live paths only; cols holds their
 positions in the batch. One noise block, one path-major stage of _STAGE
-doubles and one Philox generator per chunk column serve every chunk. The
-noise block, at most 512 steps by the widest chunk, is a private anonymous
-mapping, unmapped when the call returns: a malloc'd block under glibc's
-32 MiB dynamic mmap threshold would stay resident on the heap, and
-back-to-back calls would stack their blocks. The finally that closes the
-mapping first drops the views of it, which would keep it open. A column's
-generator is keyed from one template state (key[1] = i, counter 0) at its
-path's first block, then keeps its own counter and buffer; a run of one
-block shares one generator, re-keyed per path. A block is step-major, one
-column per path live at its start. The step evaluates
-model_core.coefficients into preallocated buffers (out=, same per-element
-order and bits) at lambda and lambda' of the block's steps only: the curve
-is read per block, so no array grows with the step count. A path stops at
-the first step whose update gives r or y at or above the explosion
-threshold, or a non-finite value: tau_hat is the left edge of that step
-(bias at most dt). It idles at (lambda0, 0), reset whenever it crosses
-again and masked out of records and exits, until the live arrays are
-compacted at the next block's start, where a chunk with no live path
-ends. Every path leaves through one exit that writes its terminal r, y
-and log-discount: at its death step with its last good state, or at the
-end. The chunk width sizes the noise block and, in a run of more than one
-block, the generator pool: 8192 keeps a 10k-path run to two chunks of
-5000.
+doubles and one Philox generator per chunk column serve every chunk. A run
+of at most _NOISE_BLOCK (512) steps is one block, which shares one
+generator, re-keyed per path. A longer run needs a generator per column
+anyway, so it draws blocks of 256 steps: each column's generator carries
+its path's stream across block boundaries of any length, and a half block
+costs one more draw call per path per block for half the mapping
+(splitting a one-block run would build a pool). The noise block, one block
+by the widest chunk, is a private anonymous mapping, unmapped when the
+call returns: a malloc'd block under glibc's 32 MiB dynamic mmap threshold
+would stay resident on the heap, and back-to-back calls would stack their
+blocks. The finally that closes the mapping first drops the views of it,
+which would keep it open. A column's generator is keyed from one template
+state (key[1] = i, counter 0) at its path's first block, then keeps its
+own counter and buffer. A block is step-major, one column per path live at
+its start. The step evaluates model_core.coefficients into preallocated
+buffers (out=, same per-element order and bits) at lambda and lambda' of
+the block's steps only: the curve is read per block, so no array grows
+with the step count. A path stops at the first step whose update gives r
+or y at or above the explosion threshold, or a non-finite value: tau_hat
+is the left edge of that step (bias at most dt). It idles at (lambda0, 0),
+reset whenever it crosses again and masked out of records and exits, until
+the live arrays are compacted at the next block's start, where a chunk
+with no live path ends. Every path leaves through one exit that writes its
+terminal r, y and log-discount: at its death step with its last good
+state, or at the end. The chunk width sizes the noise block and, in a run
+of more than one block, the generator pool: 8192 keeps a 10k-path run to
+two chunks of 5000.
 
 The estimators read a simulated BatchPaths and never simulate: the
 explosion fraction by T, the survivors' mean of an array payoff of the
@@ -216,7 +220,8 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             ldisc[at] = disc[sel]
 
     bounds = np.linspace(0, n, -(-n // _CHUNK) + 1, dtype=int).tolist()
-    nb_max = min(_NOISE_BLOCK, n_steps)
+    # a run of more than one block builds the pool anyway: half blocks
+    nb_max = n_steps if n_steps <= _NOISE_BLOCK else _NOISE_BLOCK // 2
     width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     # one generator per chunk column carries a path's Philox state across
     # blocks (one for all in a one-block run); each is keyed from st at its
@@ -243,7 +248,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
             rn, yn, mu_r, mu_y, sr = np.empty((5, hi - lo))
             disc = np.zeros(hi - lo)
             live = np.ones(hi - lo, dtype=bool)  # of the block's columns
-            for k0 in range(0, n_steps, _NOISE_BLOCK):
+            for k0 in range(0, n_steps, nb_max):
                 if not live.any():  # every path of the chunk has left
                     break
                 if not live.all():  # the paths that died in the last block go
@@ -251,7 +256,7 @@ def simulate_batch(p: ModelParams, curve: ForwardCurve, cfg: SimConfig,
                     rn, yn, mu_r, mu_y, sr = (
                         a[:len(cols)] for a in (rn, yn, mu_r, mu_y, sr))
                     live = live[live]
-                nb = min(_NOISE_BLOCK, n_steps - k0)
+                nb = min(nb_max, n_steps - k0)
                 lam, dlam = curve.rate_and_slope(dt * np.arange(k0, k0 + nb))
                 # live path j draws into column j of a block as wide as the
                 # live set, through the path-major stage (a strided column

@@ -604,6 +604,21 @@ def test_key_given_twice_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("data", [
+    b'\xff{"model": 1}',
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_config_exits_2(tmp_path, capsys, data):
+    # a byte that is not UTF-8 raised UnicodeDecodeError, and nesting past
+    # the decoder's recursion limit RecursionError, each as a traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(data)
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"cannot read {cfg}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_exits_2(tmp_path, capsys, command, threads):

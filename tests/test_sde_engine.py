@@ -61,6 +61,13 @@ def scalar_euler(p, curve, cfg, i):
     return tau, r, y, disc
 
 
+def block_steps(cfg):
+    """Steps per noise block of a run of cfg: the whole run up to
+    _NOISE_BLOCK steps, half of _NOISE_BLOCK in a longer run."""
+    n = cfg.n_steps
+    return n if n <= eng._NOISE_BLOCK else eng._NOISE_BLOCK // 2
+
+
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"dt": -0.1}, {"horizon": 0.005}, {"n_paths": 0},
@@ -196,7 +203,7 @@ class TestDeterminism:
         batch = simulate_batch(p, FLAT, cfg, order, record=True,
                                want_discount=True, threads=2)
         block = np.floor(batch.tau_hat[batch.exploded]
-                         / (eng._NOISE_BLOCK * cfg.dt))
+                         / (block_steps(cfg) * cfg.dt))
         assert len(np.unique(block)) >= 2
         for pos in [0, 1, *np.flatnonzero(batch.exploded)[-3:],
                     *np.flatnonzero(~batch.exploded)[:2]]:
@@ -209,7 +216,7 @@ class TestDeterminism:
                 assert getattr(one, f)[0] == getattr(batch, f)[pos], f
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
-        # 7-path chunks and 512-step noise blocks cut through a shuffled
+        # 7-path chunks and 256-step noise blocks cut through a shuffled
         # batch with repeated indices; every path must equal its lone run
         # and a scalar Euler loop on a fresh Philox(key=[seed, i]) stream
         monkeypatch.setattr(eng, "_CHUNK", 7)
@@ -224,7 +231,7 @@ class TestDeterminism:
             batch = simulate_batch(p, FLAT, cfg, order, record=True,
                                    want_discount=True, threads=threads)
             died = np.floor(batch.tau_hat[batch.exploded]
-                            / (eng._NOISE_BLOCK * cfg.dt))
+                            / (block_steps(cfg) * cfg.dt))
             assert len(np.unique(died)) >= 2 and not batch.exploded.all()
             for pos, one in enumerate(lone):
                 for f in ("rec_r", "rec_y"):
@@ -254,7 +261,7 @@ class TestDeterminism:
                 batch.log_discount[i])
 
     def test_curve_bends_inside_later_blocks(self):
-        # the slope changes inside the second and third 1024-step noise
+        # the slope changes inside the sixth and tenth 256-step noise
         # blocks, so each block must read lambda and lambda' at its own
         # steps; every path equals the scalar Euler loop bit for bit
         p = params(sigma=0.3, beta=0.05)
@@ -269,7 +276,7 @@ class TestDeterminism:
                 batch.tau_hat[i], batch.terminal_r[i], batch.terminal_y[i],
                 batch.log_discount[i])
 
-    @pytest.mark.parametrize("stage", [eng._NOISE_BLOCK, 10 ** 9],
+    @pytest.mark.parametrize("stage", [eng._NOISE_BLOCK // 2, 10 ** 9],
                              ids=["one_path", "wider_than_chunk"])
     def test_stage_budgets(self, monkeypatch, stage):
         # a noise stage of one path row at a time, and one that holds a
@@ -403,8 +410,8 @@ class TestBlockCompaction:
         """Whether path i, dead at tau, crosses the threshold again from
         (lambda0, 0) on its own noise before its block ends."""
         k_dead = int(round(tau / cfg.dt))
-        end = min(cfg.n_steps, (k_dead // eng._NOISE_BLOCK + 1)
-                  * eng._NOISE_BLOCK)
+        nb = block_steps(cfg)
+        end = min(cfg.n_steps, (k_dead // nb + 1) * nb)
         z = np.random.Generator(np.random.Philox(
             key=[cfg.seed, i])).standard_normal(end)
         r, y = FLAT.lambda0, 0.0
@@ -440,7 +447,7 @@ class TestBlockCompaction:
                         explosion_threshold=1.0, record_stride=5)
         full = simulate_batch(p, FLAT, cfg)
         block = np.where(full.exploded, np.floor(
-            full.tau_hat / (eng._NOISE_BLOCK * cfg.dt)), -1)
+            full.tau_hat / (block_steps(cfg) * cfg.dt)), -1)
         for b in (0, 1):
             order = np.flatnonzero(block == b)[:6]
             assert len(order) >= 2
@@ -450,7 +457,7 @@ class TestBlockCompaction:
             self.check_paths(p, cfg, order, batch)
 
     def test_deaths_on_first_and_last_step_of_a_block(self, monkeypatch):
-        monkeypatch.setattr(eng, "_NOISE_BLOCK", 16)
+        monkeypatch.setattr(eng, "_NOISE_BLOCK", 32)  # 16-step blocks here
         p = params(sigma=3.0)
         cfg = SimConfig(dt=0.01, horizon=20.0, n_paths=120, seed=73,
                         explosion_threshold=1.0, record_stride=4)
@@ -472,7 +479,7 @@ class TestBlockCompaction:
                         explosion_threshold=1.0, record_stride=7)
         assert cfg.n_steps > eng._NOISE_BLOCK
         full = simulate_batch(p, FLAT, cfg)
-        dead = np.flatnonzero(full.tau_hat < eng._NOISE_BLOCK * cfg.dt)[:6]
+        dead = np.flatnonzero(full.tau_hat < block_steps(cfg) * cfg.dt)[:6]
         alive = np.flatnonzero(~full.exploded)[:6]
         assert len(dead) == len(alive) == 6
         monkeypatch.setattr(eng, "_CHUNK", 6)
@@ -829,10 +836,42 @@ class TestMemory:
 
     def test_noise_block_by_chunk_width(self, mappings):
         # the noise mapping is one block by the widest chunk: 10000 paths
-        # of three blocks run as two chunks of 5000
+        # of 1500 steps run as two chunks of 5000 in 256-step blocks
         cfg = SimConfig(dt=0.01, horizon=15.0, n_paths=10000, seed=18)
         simulate_batch(params(), FLAT, cfg)
+        assert [m for m, _ in mappings] == [8 * 256 * 5000]
+
+    def test_block_length_at_the_one_block_boundary(self, mappings,
+                                                    monkeypatch):
+        # 512 steps stay one 512-step block on one re-keyed generator; 513
+        # build the pool and draw 256-step blocks, and a path's column
+        # still equals its lone run and the scalar Euler loop
+        built, real = [], np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        cfg = SimConfig(dt=0.01, horizon=5.12, n_paths=5000, seed=18)
+        assert cfg.n_steps == eng._NOISE_BLOCK
+        simulate_batch(params(), FLAT, cfg)
         assert [m for m, _ in mappings] == [8 * 512 * 5000]
+        assert len(built) <= 1
+        mappings.clear()
+        built.clear()
+        cfg = SimConfig(dt=0.01, horizon=5.13, n_paths=5000, seed=18)
+        assert cfg.n_steps == 513
+        batch = simulate_batch(params(), FLAT, cfg, want_discount=True)
+        assert [m for m, _ in mappings] == [8 * 256 * 5000]
+        assert len(built) == 5000
+        for i in (0, 4999):
+            one = simulate_batch(params(), FLAT, cfg, [i], want_discount=True)
+            got = (batch.tau_hat[i], batch.terminal_r[i],
+                   batch.terminal_y[i], batch.log_discount[i])
+            assert got == (one.tau_hat[0], one.terminal_r[0],
+                           one.terminal_y[0], one.log_discount[0])
+            assert got == scalar_euler(params(), FLAT, cfg, i)
 
     @linux_only
     def test_back_to_back_calls_do_not_ratchet_rss(self):
@@ -852,7 +891,7 @@ class TestMemory:
     @linux_only
     def test_multi_block_noise_memory(self):
         # after a one-step warm-up, 1500 steps of 10000 paths: two chunks
-        # of 5000, each with noise blocks of 512 steps, 20.5 MB, and the
+        # of 5000, each with noise blocks of 256 steps, 10.2 MB, and the
         # state of each path in its column's generator, about 6 MB for the
         # 5000
         first, last = child_peaks("""
@@ -861,7 +900,7 @@ class TestMemory:
                     dt=0.01, horizon=horizon, n_paths=10000, seed=5))
                 peaks.append(peak_kib())
         """)
-        assert last - first < 30e6 / 1024  # KiB
+        assert last - first < 17e6 / 1024  # KiB
 
 
 class TestCsv:
